@@ -14,9 +14,9 @@
 
 use std::collections::VecDeque;
 
-use pxl_model::{Task, TASK_WORDS};
-use pxl_sim::json::JsonValue;
-use pxl_sim::{EventSlab, Time};
+use pxl_model::Task;
+use pxl_sim::snapshot::malformed;
+use pxl_sim::{Codec, EventSlab, Persist, SnapshotError, Time};
 
 /// A bounded double-ended task queue with timestamped availability.
 ///
@@ -152,83 +152,38 @@ impl TaskDeque {
     pub fn peek_head(&self) -> Option<&Task> {
         self.items.front().map(|e| self.arena.get(e.slot))
     }
+}
 
-    /// Serializes contents and counters for engine snapshots. Each queued
-    /// item is the task's word encoding followed by its availability
-    /// timestamp; capacity comes from configuration, not the snapshot.
-    pub fn state_to_json_value(&self) -> JsonValue {
-        let items = self
+/// Queued tasks head to tail, each with its availability time, plus the
+/// counters. The arena is rebuilt on load; the capacity comes from the
+/// configuration and bounds the restored contents.
+impl Persist for TaskDeque {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut items: Vec<(Task, Time)> = self
             .items
             .iter()
-            .map(|e| {
-                let mut words: Vec<u64> = self.arena.get(e.slot).to_words().to_vec();
-                words.push(e.avail.as_ps());
-                JsonValue::Array(words.into_iter().map(JsonValue::num_u64).collect())
-            })
+            .map(|e| (*self.arena.get(e.slot), e.avail))
             .collect();
-        JsonValue::Object(vec![
-            ("items".to_owned(), JsonValue::Array(items)),
-            ("peak".to_owned(), JsonValue::num_u64(self.peak as u64)),
-            (
-                "total_pushed".to_owned(),
-                JsonValue::num_u64(self.total_pushed),
-            ),
-        ])
-    }
-
-    /// Replaces contents and counters with a state captured by
-    /// [`TaskDeque::state_to_json_value`]. The deque keeps its configured
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the state is malformed or holds more tasks
-    /// than this deque's capacity.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let entries = value
-            .get("items")
-            .and_then(JsonValue::as_array)
-            .ok_or("deque state: missing items array")?;
-        if entries.len() > self.capacity {
-            return Err(format!(
-                "deque state holds {} tasks, capacity is {}",
-                entries.len(),
-                self.capacity
-            ));
-        }
-        let mut items = VecDeque::with_capacity(entries.len());
-        let mut arena = EventSlab::new();
-        for entry in entries {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or("deque state: item is not an array")?;
-            if words.len() != TASK_WORDS + 1 {
-                return Err(format!(
-                    "deque state: item holds {} words, expected {}",
-                    words.len(),
-                    TASK_WORDS + 1
-                ));
+        items.persist(c)?;
+        if C::LOADING {
+            if items.len() > self.capacity {
+                return Err(malformed(format!(
+                    "deque state holds {} tasks, capacity is {}",
+                    items.len(),
+                    self.capacity
+                )));
             }
-            let task = Task::from_words(&words[..TASK_WORDS])?;
-            items.push_back(DequeEntry {
-                slot: arena.insert(task),
-                avail: Time::from_ps(words[TASK_WORDS]),
-            });
+            self.arena.clear();
+            self.items = items
+                .into_iter()
+                .map(|(task, avail)| DequeEntry {
+                    slot: self.arena.insert(task),
+                    avail,
+                })
+                .collect();
         }
-        let peak = value
-            .get("peak")
-            .and_then(JsonValue::as_u64)
-            .ok_or("deque state: missing peak")?;
-        let total_pushed = value
-            .get("total_pushed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("deque state: missing total_pushed")?;
-        self.items = items;
-        self.arena = arena;
-        self.peak = peak as usize;
-        self.total_pushed = total_pushed;
-        Ok(())
+        self.peak.persist(c)?;
+        self.total_pushed.persist(c)
     }
 }
 
@@ -294,9 +249,9 @@ mod tests {
             a.push_tail(task(i), Time::from_ns(i * 10)).unwrap();
         }
         let _ = a.pop_tail(Time::MAX);
-        let state = a.state_to_json_value();
+        let state = pxl_sim::persist::save(&mut a);
         let mut b = TaskDeque::new(8);
-        b.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut b, &state).unwrap();
         assert_eq!(b.len(), a.len());
         assert_eq!((b.peak(), b.total_pushed()), (a.peak(), a.total_pushed()));
         // Availability timestamps survive: head is visible at 0, next is not.
@@ -305,7 +260,8 @@ mod tests {
         assert_eq!(b.steal_head(Time::from_ns(10)).unwrap().args[0], 1);
         // Restoring into a smaller deque is rejected.
         let mut tiny = TaskDeque::new(2);
-        assert!(tiny.restore_state(&state).unwrap_err().contains("capacity"));
+        let err = pxl_sim::persist::load(&mut tiny, &state).unwrap_err();
+        assert!(err.to_string().contains("capacity"), "{err}");
     }
 
     #[test]

@@ -36,11 +36,10 @@ use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{
     Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, TASK_WORDS,
 };
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
+use pxl_sim::snapshot::{Snapshot, SnapshotError};
 use pxl_sim::{
-    CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId, Metrics,
-    NetClass, SendVerdict, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
+    Codec, CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId,
+    Metrics, NetClass, Persist, SendVerdict, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
 };
 
 use crate::config::{AccelConfig, LinkTopology, MemBackendKind};
@@ -168,7 +167,7 @@ pub struct AccelResult {
 
 /// The memory path behind the PEs (coherent SoC caches or Zedboard stream
 /// buffers).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum MemBackend {
     Coherent(Box<MemorySystem>),
     Zedboard(Box<ZedboardMemory>),
@@ -240,36 +239,6 @@ impl MemBackend {
         match self {
             MemBackend::Coherent(m) => m.take_stats(),
             MemBackend::Zedboard(m) => m.take_stats(),
-        }
-    }
-
-    /// Serializes the backend's mutable state for engine snapshots, tagged
-    /// with the backend kind so a restore into the wrong memory path fails
-    /// loudly.
-    pub(crate) fn state_to_json_value(&self) -> JsonValue {
-        let (kind, state) = match self {
-            MemBackend::Coherent(m) => ("coherent", m.state_to_json_value()),
-            MemBackend::Zedboard(m) => ("zedboard", m.state_to_json_value()),
-        };
-        JsonValue::Object(vec![
-            ("kind".to_owned(), JsonValue::Str(kind.to_owned())),
-            ("state".to_owned(), state),
-        ])
-    }
-
-    /// Restores state captured by [`MemBackend::state_to_json_value`].
-    pub(crate) fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let kind = value
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("memory backend state: missing kind")?;
-        let state = value
-            .get("state")
-            .ok_or("memory backend state: missing state")?;
-        match (self, kind) {
-            (MemBackend::Coherent(m), "coherent") => m.restore_state(state),
-            (MemBackend::Zedboard(m), "zedboard") => m.restore_state(state),
-            (_, k) => Err(format!("memory backend mismatch: snapshot holds {k:?}")),
         }
     }
 }
@@ -478,7 +447,7 @@ impl Event {
 
 /// Engine-side fault-injection state, present only when the configuration
 /// carries a [`FaultPlan`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FaultState {
     sched: FaultScheduler,
     /// Fail-stop flags: a dead PE never begins another task; faults are
@@ -511,7 +480,7 @@ impl FaultState {
 /// executor, and the software baseline in `pxl-cpu` — so the stall
 /// diagnosis and its `watchdog.stalls` counter / `watchdog.stall` trace
 /// event cannot drift between them.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Watchdog {
     window: Time,
     last_progress: Time,
@@ -544,18 +513,6 @@ impl Watchdog {
     /// When any unit last made forward progress.
     pub fn last_progress(&self) -> Time {
         self.last_progress
-    }
-
-    /// The unit that last made forward progress, if any ever did.
-    pub fn last_unit(&self) -> Option<usize> {
-        self.last_unit
-    }
-
-    /// Overwrites the progress state from a snapshot. The window stays as
-    /// configured.
-    pub fn load(&mut self, last_progress: Time, last_unit: Option<usize>) {
-        self.last_progress = last_progress;
-        self.last_unit = last_unit;
     }
 
     /// Builds the [`AccelError::Stalled`] diagnosis, emitting the
@@ -735,7 +692,7 @@ struct LinkIds {
 /// `next_free` horizon is the link's only mutable state and is carried
 /// through snapshots so a restored run replays in-flight serialization
 /// byte-identically.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LinkState {
     chips: usize,
     /// One-way latency per topology hop.
@@ -814,7 +771,7 @@ impl LinkState {
 /// let out = engine.run(&mut Fib, root).unwrap();
 /// assert_eq!(out.result, 144);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FabricEngine<P: SchedulingPolicy> {
     cfg: AccelConfig,
     profile: ExecProfile,
@@ -863,6 +820,82 @@ pub struct FabricEngine<P: SchedulingPolicy> {
     launched: bool,
 }
 
+/// The engine's mutable state; configuration-derived parts (costs, typed
+/// metric handles, link geometry) come from the restoring engine.
+impl<P: SchedulingPolicy> Persist for FabricEngine<P> {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.launched.persist(c)?;
+        self.result_slot.persist(c)?;
+        self.next_task_id.persist(c)?;
+        self.outstanding.persist(c)?;
+        self.inflight_args.persist(c)?;
+        self.last_useful.persist(c)?;
+        self.hetero_rr.persist(c)?;
+        c.exact(&mut self.units.steal_fails, "PEs")?;
+        c.exact(&mut self.units.busy_until, "PEs")?;
+        self.host.persist(c)?;
+        if C::LOADING {
+            self.task_slab.clear();
+        }
+        self.events.persist_words(
+            c,
+            &mut self.task_slab,
+            |event, slab| event.to_words(slab),
+            Event::from_words,
+        )?;
+        self.policy.persist(c)?;
+        c.exact(&mut self.pstores, "P-Store tiles")?;
+        self.watchdog.persist(c)?;
+        self.metrics.persist(c)?;
+        self.mem.persist(c)?;
+        self.backend.persist(c)?;
+        self.trace.persist(c)?;
+        c.optional(&mut self.link, "inter-chip link state")?;
+        c.optional(&mut self.faults, "fault state")?;
+        c.optional(&mut self.telemetry, "telemetry state")
+    }
+}
+
+impl Persist for LinkState {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.exact(&mut self.next_free, "directed chip links")
+    }
+}
+
+impl Persist for FaultState {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.sched.persist(c)?;
+        c.exact(&mut self.dead, "PEs")?;
+        c.exact(&mut self.rescue_pending, "PEs")?;
+        c.exact(&mut self.corrupt_pending, "tiles")
+    }
+}
+
+/// The memory path's state, led by its kind so a restore into the other
+/// backend fails loudly.
+impl Persist for MemBackend {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        match self {
+            MemBackend::Coherent(m) => {
+                c.expect(0, "memory backend (0 = coherent, 1 = zedboard)")?;
+                m.persist(c)
+            }
+            MemBackend::Zedboard(m) => {
+                c.expect(1, "memory backend (0 = coherent, 1 = zedboard)")?;
+                m.persist(c)
+            }
+        }
+    }
+}
+
+/// Progress state only; the window stays as configured.
+impl Persist for Watchdog {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.last_progress.persist(c)?;
+        self.last_unit.persist(c)
+    }
+}
+
 /// Outcome of one [`FabricEngine::run_until`] leg.
 #[derive(Debug)]
 pub enum RunStatus {
@@ -885,7 +918,7 @@ pub enum RunStatus {
 /// every steal outcome; cold per-unit state (death flags, pending rescues)
 /// stays in [`FaultState`] so these arrays hold only what every event
 /// touches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct UnitState {
     /// Completion horizon per PE: wakes before this instant are ignored.
     busy_until: Vec<Time>,
@@ -904,7 +937,7 @@ impl UnitState {
 
 /// Typed handles into the metrics registry for the engine's hot counters;
 /// registered once at construction so per-event updates skip string lookups.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FabricIds {
     steal_attempts: CounterId,
     steal_hits: CounterId,
@@ -1296,130 +1329,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         self.host.get(slot as usize).copied().flatten()
     }
 
-    /// Serializes the complete mutable simulation state into a versioned,
+    /// Captures the complete mutable simulation state into a versioned,
     /// checksummed [`Snapshot`]. Capture at a [`RunStatus::Paused`] boundary;
     /// a fresh engine built from the same configuration restores the
     /// snapshot and continues byte-identically to an uninterrupted run.
     pub fn snapshot(&self) -> Snapshot {
-        let events = JsonValue::Array(
-            self.events
-                .ordered()
-                .into_iter()
-                .map(|(when, event)| {
-                    let mut words = vec![when.as_ps()];
-                    words.extend(event.to_words(&self.task_slab));
-                    snapshot::arr_u64(words)
-                })
-                .collect(),
-        );
-        let host = JsonValue::Array(
-            self.host
-                .iter()
-                .map(|slot| snapshot::arr_u64(slot.iter().copied()))
-                .collect(),
-        );
-        let mut payload = vec![
-            ("launched", snapshot::num(u64::from(self.launched))),
-            (
-                "result_slot",
-                snapshot::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
-            ),
-            ("next_task_id", snapshot::num(self.next_task_id)),
-            ("outstanding", snapshot::num(self.outstanding)),
-            ("inflight_args", snapshot::num(self.inflight_args)),
-            ("last_useful_ps", snapshot::num(self.last_useful.as_ps())),
-            ("hetero_rr", snapshot::num(self.hetero_rr as u64)),
-            (
-                "steal_fails",
-                snapshot::arr_u64(self.units.steal_fails.iter().map(|f| u64::from(*f))),
-            ),
-            (
-                "busy_until_ps",
-                snapshot::arr_u64(self.units.busy_until.iter().map(|t| t.as_ps())),
-            ),
-            ("host", host),
-            ("events", events),
-            ("policy", self.policy.state_to_json_value()),
-            (
-                "pstores",
-                JsonValue::Array(
-                    self.pstores
-                        .iter()
-                        .map(PStore::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "watchdog",
-                snapshot::obj(vec![
-                    (
-                        "last_progress_ps",
-                        snapshot::num(self.watchdog.last_progress().as_ps()),
-                    ),
-                    (
-                        "last_unit",
-                        snapshot::num(self.watchdog.last_unit().map_or(0, |u| u as u64 + 1)),
-                    ),
-                ]),
-            ),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
-            ("mem", self.mem.state_to_json_value()),
-            ("backend", self.backend.state_to_json_value()),
-            ("trace", self.trace.state_to_json_value()),
-        ];
-        if let Some(link) = &self.link {
-            payload.push((
-                "link",
-                snapshot::arr_u64(link.next_free.iter().map(|t| t.as_ps())),
-            ));
-        }
-        if let Some(faults) = &self.faults {
-            let (rng, remaining) = faults.sched.save_state();
-            payload.push((
-                "faults",
-                snapshot::obj(vec![
-                    ("rng", snapshot::num(rng)),
-                    (
-                        "remaining",
-                        snapshot::arr_u64(remaining.iter().map(|r| u64::from(*r))),
-                    ),
-                    (
-                        "dead",
-                        snapshot::arr_u64(faults.dead.iter().map(|d| u64::from(*d))),
-                    ),
-                    (
-                        "rescue_pending",
-                        snapshot::arr_u64(
-                            faults
-                                .rescue_pending
-                                .iter()
-                                .map(|r| r.map_or(0, |s| s as u64 + 1)),
-                        ),
-                    ),
-                    (
-                        "corrupt_pending",
-                        JsonValue::Array(
-                            faults
-                                .corrupt_pending
-                                .iter()
-                                .map(|tile| {
-                                    snapshot::arr_u64(tile.iter().flat_map(|(entry, spec)| {
-                                        [u64::from(*entry), *spec as u64]
-                                    }))
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.state_to_json_value()));
-        }
-        Snapshot::new(self.policy.kind().label(), snapshot::obj(payload))
+        // `persist` walks `&mut self` in both directions; capture walks a
+        // copy so the engine itself stays untouched.
+        Snapshot::capture(self.policy.kind().label(), &mut self.clone())
     }
 
     /// Overwrites this engine's mutable state with a [`Snapshot`] captured
@@ -1433,211 +1350,9 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     ///
     /// [`SnapshotError::EngineMismatch`] when the snapshot was taken by a
     /// different engine family, [`SnapshotError::Malformed`] when the
-    /// payload does not describe this configuration.
+    /// bytes do not describe this configuration.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        snap.expect_engine(self.policy.kind().label())?;
-        let p = &snap.payload;
-        let num_pes = self.cfg.num_pes();
-
-        self.launched = snapshot::get_u64(p, "launched")? != 0;
-        self.result_slot = match snapshot::get_u64(p, "result_slot")? {
-            0 => None,
-            s => Some(u8::try_from(s - 1).map_err(|_| malformed("result_slot out of range"))?),
-        };
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
-        self.outstanding = snapshot::get_u64(p, "outstanding")?;
-        self.inflight_args = snapshot::get_u64(p, "inflight_args")?;
-        self.last_useful = Time::from_ps(snapshot::get_u64(p, "last_useful_ps")?);
-        self.hetero_rr = snapshot::get_u64(p, "hetero_rr")? as usize;
-
-        let steal_fails = snapshot::get_u64s(p, "steal_fails")?;
-        let busy_until = snapshot::get_u64s(p, "busy_until_ps")?;
-        if steal_fails.len() != num_pes || busy_until.len() != num_pes {
-            return Err(malformed(format!(
-                "snapshot describes {} PEs, this engine has {num_pes}",
-                steal_fails.len()
-            )));
-        }
-        self.units.steal_fails = steal_fails
-            .iter()
-            .map(|f| u32::try_from(*f).map_err(|_| malformed("steal_fails overflows u32")))
-            .collect::<Result<_, _>>()?;
-        self.units.busy_until = busy_until.iter().map(|ps| Time::from_ps(*ps)).collect();
-
-        let host = snapshot::get_arr(p, "host")?;
-        if host.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
-        for (slot, value) in self.host.iter_mut().zip(host) {
-            let cell = value
-                .as_array()
-                .ok_or_else(|| malformed("host slot is not an array"))?;
-            *slot = match cell {
-                [] => None,
-                [v] => Some(v.as_u64().ok_or_else(|| malformed("bad host value"))?),
-                _ => return Err(malformed("host slot holds more than one value")),
-            };
-        }
-
-        self.events.clear();
-        self.task_slab.clear();
-        for entry in snapshot::get_arr(p, "events")? {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| malformed("event entry is not an array"))?;
-            let (when, body) = words
-                .split_first()
-                .ok_or_else(|| malformed("empty event entry"))?;
-            let event = Event::from_words(body, &mut self.task_slab).map_err(malformed)?;
-            self.events.push(Time::from_ps(*when), event);
-        }
-
-        self.policy
-            .restore_state(snapshot::get(p, "policy")?)
-            .map_err(malformed)?;
-
-        let pstores = snapshot::get_arr(p, "pstores")?;
-        if pstores.len() != self.pstores.len() {
-            return Err(malformed(format!(
-                "snapshot holds {} P-Store tiles, this engine has {}",
-                pstores.len(),
-                self.pstores.len()
-            )));
-        }
-        for (pstore, state) in self.pstores.iter_mut().zip(pstores) {
-            pstore.restore_state(state).map_err(malformed)?;
-        }
-
-        let watchdog = snapshot::get(p, "watchdog")?;
-        let last_progress = Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        let last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
-        self.watchdog.load(last_progress, last_unit);
-
-        // Metrics restore: rebuild a fresh registry (identical registration
-        // order keeps the typed CounterId/HistogramId handles valid), then
-        // merge the saved values into its zeroed slots.
-        let saved = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
-            .map_err(|e| malformed(format!("metrics: {e}")))?;
-        let mut metrics = Metrics::new();
-        self.ids = FabricIds::register(&mut metrics, num_pes);
-        register_fault_metrics(&mut metrics);
-        self.link = LinkState::for_config(&self.cfg, &mut metrics);
-        metrics.merge(&saved);
-        self.metrics = metrics;
-
-        self.mem
-            .restore_state(snapshot::get(p, "mem")?)
-            .map_err(malformed)?;
-        self.backend
-            .restore_state(snapshot::get(p, "backend")?)
-            .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
-
-        match (&mut self.link, p.get("link")) {
-            (Some(link), Some(_)) => {
-                let next_free = snapshot::get_u64s(p, "link")?;
-                if next_free.len() != link.chips * link.chips {
-                    return Err(malformed("link state chip count mismatch"));
-                }
-                link.next_free = next_free.iter().map(|ps| Time::from_ps(*ps)).collect();
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine models an inter-chip link, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries link state, this engine has no cluster",
-                ));
-            }
-        }
-
-        match (&mut self.faults, p.get("faults")) {
-            (Some(faults), Some(saved)) => {
-                let rng = snapshot::get_u64(saved, "rng")?;
-                let remaining = snapshot::get_u64s(saved, "remaining")?
-                    .iter()
-                    .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
-                    .collect::<Result<Vec<u32>, _>>()?;
-                faults.sched.load_state(rng, remaining).map_err(malformed)?;
-                let dead = snapshot::get_u64s(saved, "dead")?;
-                let rescue = snapshot::get_u64s(saved, "rescue_pending")?;
-                if dead.len() != num_pes || rescue.len() != num_pes {
-                    return Err(malformed("fault state PE count mismatch"));
-                }
-                faults.dead = dead.iter().map(|d| *d != 0).collect();
-                faults.rescue_pending = rescue
-                    .iter()
-                    .map(|r| if *r == 0 { None } else { Some(*r as usize - 1) })
-                    .collect();
-                let corrupt = snapshot::get_arr(saved, "corrupt_pending")?;
-                if corrupt.len() != faults.corrupt_pending.len() {
-                    return Err(malformed("fault state tile count mismatch"));
-                }
-                faults.corrupt_pending = corrupt
-                    .iter()
-                    .map(|tile| {
-                        let flat: Vec<u64> = tile
-                            .as_array()
-                            .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                            .ok_or_else(|| malformed("corrupt_pending tile is not an array"))?;
-                        if !flat.len().is_multiple_of(2) {
-                            return Err(malformed("corrupt_pending holds an odd word count"));
-                        }
-                        flat.chunks(2)
-                            .map(|pair| {
-                                let entry = u32::try_from(pair[0])
-                                    .map_err(|_| malformed("corrupt entry overflow"))?;
-                                Ok((entry, pair[1] as usize))
-                            })
-                            .collect()
-                    })
-                    .collect::<Result<_, SnapshotError>>()?;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine carries a fault plan, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries fault state, this engine has no fault plan",
-                ));
-            }
-        }
-
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
-        }
-
+        snap.restore_into(self.policy.kind().label(), self)?;
         self.error = None;
         Ok(())
     }

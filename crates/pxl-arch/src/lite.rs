@@ -16,9 +16,10 @@
 use pxl_mem::Memory;
 use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
-use pxl_sim::{FaultKind, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer};
+use pxl_sim::snapshot::{Snapshot, SnapshotError};
+use pxl_sim::{
+    Codec, FaultKind, Metrics, Persist, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
+};
 
 use crate::config::{AccelConfig, ArchKind};
 use crate::fabric::{
@@ -88,7 +89,7 @@ where
 ///     .unwrap();
 /// assert_eq!(out.result, (0..100).sum::<u64>());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LiteEngine {
     cfg: AccelConfig,
     profile: ExecProfile,
@@ -389,46 +390,13 @@ impl LiteEngine {
         ]
     }
 
-    /// Serializes the complete mutable state into a versioned, checksummed
+    /// Captures the complete mutable state into a versioned, checksummed
     /// [`Snapshot`]. Capture at a [`RunStatus::Paused`] round barrier; a
     /// fresh engine built from the same configuration restores it and —
     /// with an equivalent driver — continues byte-identically to an
     /// uninterrupted run.
     pub fn snapshot(&self) -> Snapshot {
-        let mut payload = vec![
-            ("now_ps", snapshot::num(self.now.as_ps())),
-            ("round", snapshot::num(self.round as u64)),
-            ("next_task_id", snapshot::num(self.next_task_id)),
-            ("host", snapshot::arr_u64(self.host.iter().copied())),
-            (
-                "host_written",
-                snapshot::arr_u64(self.host_written.iter().map(|w| u64::from(*w))),
-            ),
-            (
-                "watchdog",
-                snapshot::obj(vec![
-                    (
-                        "last_progress_ps",
-                        snapshot::num(self.watchdog.last_progress().as_ps()),
-                    ),
-                    (
-                        "last_unit",
-                        snapshot::num(self.watchdog.last_unit().map_or(0, |u| u as u64 + 1)),
-                    ),
-                ]),
-            ),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
-            ("mem", self.mem.state_to_json_value()),
-            ("backend", self.backend.state_to_json_value()),
-            ("trace", self.trace.state_to_json_value()),
-        ];
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.state_to_json_value()));
-        }
-        Snapshot::new("lite", snapshot::obj(payload))
+        Snapshot::capture("lite", &mut self.clone())
     }
 
     /// Overwrites this engine's mutable state with a [`Snapshot`] captured
@@ -439,63 +407,9 @@ impl LiteEngine {
     ///
     /// [`SnapshotError::EngineMismatch`] when the snapshot was taken by a
     /// different engine family, [`SnapshotError::Malformed`] when the
-    /// payload does not describe this configuration.
+    /// bytes do not describe this configuration.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        snap.expect_engine("lite")?;
-        let p = &snap.payload;
-        self.now = Time::from_ps(snapshot::get_u64(p, "now_ps")?);
-        self.round = snapshot::get_u64(p, "round")? as usize;
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
-        let host = snapshot::get_u64s(p, "host")?;
-        let written = snapshot::get_u64s(p, "host_written")?;
-        if host.len() != HOST_SLOTS || written.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
-        self.host.copy_from_slice(&host);
-        for (slot, w) in self.host_written.iter_mut().zip(&written) {
-            *slot = *w != 0;
-        }
-        let watchdog = snapshot::get(p, "watchdog")?;
-        let last_progress = Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        let last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
-        self.watchdog.load(last_progress, last_unit);
-        self.metrics = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
-            .map_err(|e| malformed(format!("metrics: {e}")))?;
-        self.mem
-            .restore_state(snapshot::get(p, "mem")?)
-            .map_err(malformed)?;
-        self.backend
-            .restore_state(snapshot::get(p, "backend")?)
-            .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
-        }
-        Ok(())
+        snap.restore_into("lite", self)
     }
 
     /// Accumulated value of a host result slot (zero if never written).
@@ -617,6 +531,22 @@ impl TaskContext for LiteCtx<'_> {
 
     fn mem(&mut self) -> &mut Memory {
         self.mem
+    }
+}
+
+impl Persist for LiteEngine {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.now.persist(c)?;
+        self.round.persist(c)?;
+        self.next_task_id.persist(c)?;
+        self.host.persist(c)?;
+        self.host_written.persist(c)?;
+        self.watchdog.persist(c)?;
+        self.metrics.persist(c)?;
+        self.mem.persist(c)?;
+        self.backend.persist(c)?;
+        self.trace.persist(c)?;
+        c.optional(&mut self.telemetry, "telemetry state")
     }
 }
 

@@ -23,9 +23,8 @@
 
 use std::collections::VecDeque;
 
-use pxl_model::{Task, TASK_WORDS};
-use pxl_sim::json::JsonValue;
-use pxl_sim::{Lfsr16, Time};
+use pxl_model::Task;
+use pxl_sim::{Codec, Lfsr16, Persist, SnapshotError, Time};
 
 use crate::api::EngineKind;
 use crate::config::{AccelConfig, ArchKind, LocalOrder, StealEnd, VictimSelect};
@@ -40,7 +39,13 @@ use crate::deque::TaskDeque;
 /// stored, what an idle PE pops locally, which unit a starving PE sends its
 /// acquire request to, and how the victim serves that request. The victim
 /// index `num_pes` denotes the host interface block.
-pub trait SchedulingPolicy: std::fmt::Debug {
+///
+/// The policy's mutable state (queue contents, RNG registers, rotation
+/// cursors) rides in engine snapshots through its [`Persist`] walk;
+/// configuration-derived fields are rebuilt by
+/// [`SchedulingPolicy::for_config`] on restore, not captured. `Clone`
+/// lets an engine capture a snapshot from behind `&self`.
+pub trait SchedulingPolicy: std::fmt::Debug + Clone + Persist {
     /// Builds policy state for a validated configuration.
     fn for_config(cfg: &AccelConfig) -> Self
     where
@@ -97,62 +102,6 @@ pub trait SchedulingPolicy: std::fmt::Debug {
     /// (per-PE deques plus the host interface) — the instantaneous
     /// ready-task gauge the telemetry sampler records each epoch.
     fn ready_tasks(&self) -> u64;
-
-    /// Serializes the policy's mutable state (queue contents, RNG
-    /// registers, rotation cursors) for engine snapshots. Configuration-
-    /// derived fields are rebuilt by [`SchedulingPolicy::for_config`] on
-    /// restore, not serialized.
-    fn state_to_json_value(&self) -> JsonValue;
-
-    /// Replaces the policy's mutable state with one captured by
-    /// [`SchedulingPolicy::state_to_json_value`] on a policy built from the
-    /// same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the state is malformed or shaped for a
-    /// different configuration.
-    fn restore_state(&mut self, value: &JsonValue) -> Result<(), String>;
-}
-
-/// Word-encodes a task FIFO (the host queue) for snapshots.
-fn tasks_to_json(tasks: impl IntoIterator<Item = Task>) -> JsonValue {
-    JsonValue::Array(
-        tasks
-            .into_iter()
-            .map(|t| {
-                JsonValue::Array(
-                    t.to_words()
-                        .iter()
-                        .map(|w| JsonValue::num_u64(*w))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Inverse of [`tasks_to_json`].
-fn tasks_from_json(value: &JsonValue, key: &str) -> Result<Vec<Task>, String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("policy state: missing array {key:?}"))?
-        .iter()
-        .map(|entry| {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| format!("policy state: {key:?} entry is not an array"))?;
-            if words.len() != TASK_WORDS {
-                return Err(format!(
-                    "policy state: {key:?} entry holds {} words",
-                    words.len()
-                ));
-            }
-            Task::from_words(&words)
-        })
-        .collect()
 }
 
 /// FlexArch's distributed work stealing (the paper's Fig. 3(b) TMU).
@@ -162,7 +111,7 @@ fn tasks_from_json(value: &JsonValue, key: &str) -> Result<Vec<Task>, String> {
 /// ablation's [`VictimSelect::RoundRobin`]) picks a victim among the other
 /// PEs and the host interface block, and the victim serves the configured
 /// steal end of its deque.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlexPolicy {
     deques: Vec<TaskDeque>,
     lfsrs: Vec<Lfsr16>,
@@ -291,76 +240,6 @@ impl SchedulingPolicy for FlexPolicy {
         let queued: usize = self.deques.iter().map(TaskDeque::len).sum();
         (queued + self.host_queue.len()) as u64
     }
-
-    fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "deques".to_owned(),
-                JsonValue::Array(
-                    self.deques
-                        .iter()
-                        .map(TaskDeque::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "lfsrs".to_owned(),
-                JsonValue::Array(
-                    self.lfsrs
-                        .iter()
-                        .map(|l| JsonValue::num_u64(l.state() as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "rr_victim".to_owned(),
-                JsonValue::Array(
-                    self.rr_victim
-                        .iter()
-                        .map(|v| JsonValue::num_u64(*v as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "host_queue".to_owned(),
-                tasks_to_json(self.host_queue.iter().copied()),
-            ),
-        ])
-    }
-
-    fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let deque_states = value
-            .get("deques")
-            .and_then(JsonValue::as_array)
-            .ok_or("policy state: missing deques array")?;
-        if deque_states.len() != self.num_pes {
-            return Err(format!(
-                "policy state has {} deques, this fabric has {} PEs",
-                deque_states.len(),
-                self.num_pes
-            ));
-        }
-        let u64s = |key: &str| -> Result<Vec<u64>, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| format!("policy state: missing array {key:?}"))
-        };
-        let lfsrs = u64s("lfsrs")?;
-        let rr_victim = u64s("rr_victim")?;
-        if lfsrs.len() != self.num_pes || rr_victim.len() != self.num_pes {
-            return Err("policy state: per-PE array length mismatch".to_owned());
-        }
-        let host_queue = tasks_from_json(value, "host_queue")?;
-        for (deque, state) in self.deques.iter_mut().zip(deque_states) {
-            deque.restore_state(state)?;
-        }
-        self.lfsrs = lfsrs.iter().map(|s| Lfsr16::new(*s as u16)).collect();
-        self.rr_victim = rr_victim.into_iter().map(|v| v as usize).collect();
-        self.host_queue = host_queue.into_iter().collect();
-        Ok(())
-    }
 }
 
 /// The centralized shared-queue strawman: one global ready queue at the
@@ -377,7 +256,7 @@ impl SchedulingPolicy for FlexPolicy {
 /// The queue's capacity is the aggregate of the per-PE budget
 /// (`task_queue_entries * num_pes`), so a workload that fits FlexArch's
 /// distributed storage also fits the central queue.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CentralPolicy {
     queue: TaskDeque,
     /// When the queue's single port next becomes free.
@@ -457,29 +336,6 @@ impl SchedulingPolicy for CentralPolicy {
     fn ready_tasks(&self) -> u64 {
         self.queue.len() as u64
     }
-
-    fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("queue".to_owned(), self.queue.state_to_json_value()),
-            (
-                "next_free_ps".to_owned(),
-                JsonValue::num_u64(self.next_free.as_ps()),
-            ),
-        ])
-    }
-
-    fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let queue_state = value
-            .get("queue")
-            .ok_or("policy state: missing queue object")?;
-        let next_free = value
-            .get("next_free_ps")
-            .and_then(JsonValue::as_u64)
-            .ok_or("policy state: missing next_free_ps")?;
-        self.queue.restore_state(queue_state)?;
-        self.next_free = Time::from_ps(next_free);
-        Ok(())
-    }
 }
 
 /// Topology-aware work stealing for multi-chip clusters
@@ -498,7 +354,7 @@ impl SchedulingPolicy for CentralPolicy {
 /// On a 1-chip cluster every draw delegates verbatim to [`FlexPolicy`], so
 /// the policy is byte-identical to stock FlexArch — the golden gate the
 /// cluster tests pin.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HierPolicy {
     inner: FlexPolicy,
     chips: usize,
@@ -635,38 +491,28 @@ impl SchedulingPolicy for HierPolicy {
     fn ready_tasks(&self) -> u64 {
         self.inner.ready_tasks()
     }
+}
 
-    fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("flex".to_owned(), self.inner.state_to_json_value()),
-            (
-                "fails".to_owned(),
-                JsonValue::Array(
-                    self.fails
-                        .iter()
-                        .map(|f| JsonValue::num_u64(u64::from(*f)))
-                        .collect(),
-                ),
-            ),
-        ])
+impl Persist for FlexPolicy {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.exact(&mut self.deques, "PE deques")?;
+        c.exact(&mut self.lfsrs, "PE LFSRs")?;
+        c.exact(&mut self.rr_victim, "PE rotation cursors")?;
+        self.host_queue.persist(c)
     }
+}
 
-    fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        self.inner.restore_state(
-            value
-                .get("flex")
-                .ok_or("policy state: missing flex object")?,
-        )?;
-        let fails: Vec<u64> = value
-            .get("fails")
-            .and_then(JsonValue::as_array)
-            .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-            .ok_or("policy state: missing fails array")?;
-        if fails.len() != self.inner.num_pes {
-            return Err("policy state: fails length mismatch".to_owned());
-        }
-        self.fails = fails.into_iter().map(|f| f as u32).collect();
-        Ok(())
+impl Persist for CentralPolicy {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.queue.persist(c)?;
+        self.next_free.persist(c)
+    }
+}
+
+impl Persist for HierPolicy {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.inner.persist(c)?;
+        c.exact(&mut self.fails, "PE failure counts")
     }
 }
 

@@ -17,8 +17,7 @@
 use std::collections::HashMap;
 
 use pxl_sim::hash::Mix64Build;
-use pxl_sim::json::JsonValue;
-use pxl_sim::Time;
+use pxl_sim::{Codec, Persist, SnapshotError, Time};
 
 /// A serially-occupied shared resource with epoch-granular accounting.
 ///
@@ -108,52 +107,17 @@ impl BandwidthMeter {
     pub fn epoch_of(&self, t: Time) -> u64 {
         t.as_ps() / self.epoch_ps
     }
+}
 
-    /// Serializes the committed-usage map for snapshot/restore, as
-    /// `[epoch, used_ps]` pairs in epoch order.
-    pub fn state_to_json_value(&self) -> JsonValue {
-        let mut epochs: Vec<u64> = self.used.keys().copied().collect();
-        epochs.sort_unstable();
-        JsonValue::Array(
-            epochs
-                .into_iter()
-                .map(|e| {
-                    JsonValue::Array(vec![
-                        JsonValue::num_u64(e),
-                        JsonValue::num_u64(self.used[&e]),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    /// Replaces the committed-usage map with a state captured by
-    /// [`BandwidthMeter::state_to_json_value`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for anything that is not an array of
-    /// `[epoch, used]` pairs.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let pairs = value
-            .as_array()
-            .ok_or("bandwidth state: not an array of pairs")?;
-        let mut used: HashMap<_, _, Mix64Build> =
-            HashMap::with_capacity_and_hasher(pairs.len(), Mix64Build::default());
-        for pair in pairs {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("bandwidth state: entry is not an [epoch, used] pair")?;
-            let epoch = pair[0]
-                .as_u64()
-                .ok_or("bandwidth state: epoch is not a u64")?;
-            let committed = pair[1]
-                .as_u64()
-                .ok_or("bandwidth state: used is not a u64")?;
-            used.insert(epoch, committed);
+/// The committed-usage map as `(epoch, used_ps)` pairs in epoch order.
+impl Persist for BandwidthMeter {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut used: Vec<(u64, u64)> = self.used.iter().map(|(e, u)| (*e, *u)).collect();
+        used.sort_unstable();
+        used.persist(c)?;
+        if C::LOADING {
+            self.used = used.into_iter().collect();
         }
-        self.used = used;
         Ok(())
     }
 }
@@ -210,9 +174,9 @@ mod tests {
         for i in 0..10 {
             let _ = a.acquire(Time::from_ps(i * 300), 400);
         }
-        let state = a.state_to_json_value();
+        let state = pxl_sim::persist::save(&mut a);
         let mut b = BandwidthMeter::new(1_000);
-        b.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut b, &state).unwrap();
         assert_eq!(b.total_committed_ps(), a.total_committed_ps());
         // Identical future behavior.
         for i in 0..20 {
@@ -221,8 +185,10 @@ mod tests {
                 b.acquire(Time::from_ps(i * 150), 250)
             );
         }
-        let bad = JsonValue::parse("[[1]]").unwrap();
-        assert!(b.restore_state(&bad).is_err());
+        assert!(
+            pxl_sim::persist::load(&mut b, &[1, 1]).is_err(),
+            "half a pair"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! controller in [`crate::system`] drives the per-line [`LineState`] machine.
 
 use pxl_sim::config::CacheParams;
-use pxl_sim::json::JsonValue;
+use pxl_sim::snapshot::malformed;
+use pxl_sim::{Codec, Persist, SnapshotError};
 
 /// MOESI coherence state of one cache line.
 ///
@@ -70,8 +71,7 @@ pub struct CacheArray {
 }
 
 /// Internal `states` byte for a [`LineState`]; inverse of [`dec_state`].
-/// The snapshot wire value is `3 - enc_state(s)`, preserving the recorded
-/// encoding (Modified=0 … Shared=3) while keeping `Shared == 0` in memory.
+/// `Shared == 0`, so a fresh all-zero array needs no pattern fill.
 #[inline]
 fn enc_state(s: LineState) -> u8 {
     match s {
@@ -228,80 +228,41 @@ impl CacheArray {
     pub fn flush_all(&mut self) {
         self.lines.fill(0);
     }
+}
 
-    /// Serializes tag/state/LRU for snapshot/restore:
-    /// `{"use_counter":N,"sets":[[[line+1,state,last_use],...],...]}`.
-    /// `line+1` is zero for an invalid way (line addresses fit u64-1
-    /// comfortably since they are byte addresses shifted right).
-    pub fn state_to_json_value(&self) -> JsonValue {
-        let sets = (0..self.lines.len() / self.assoc)
-            .map(|si| {
-                JsonValue::Array(
-                    (si * self.assoc..(si + 1) * self.assoc)
-                        .map(|w| {
-                            JsonValue::Array(vec![
-                                JsonValue::num_u64(self.lines[w]),
-                                JsonValue::num_u64(3 - self.states[w] as u64),
-                                JsonValue::num_u64(self.last_use[w]),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        JsonValue::Object(vec![
-            (
-                "use_counter".to_owned(),
-                JsonValue::num_u64(self.use_counter),
-            ),
-            ("sets".to_owned(), JsonValue::Array(sets)),
-        ])
-    }
-
-    /// Restores a state captured by [`CacheArray::state_to_json_value`]
-    /// into an array of identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on geometry mismatch or malformed entries.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        self.use_counter = value
-            .get("use_counter")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cache state: missing use_counter")?;
-        let sets = value
-            .get("sets")
-            .and_then(JsonValue::as_array)
-            .ok_or("cache state: missing sets")?;
-        let num_sets = self.lines.len() / self.assoc;
-        if sets.len() != num_sets {
-            return Err(format!(
-                "cache state: {} sets for a {num_sets}-set array",
-                sets.len(),
-            ));
-        }
-        for (si, set) in sets.iter().enumerate() {
-            let ways = set
-                .as_array()
-                .filter(|w| w.len() == self.assoc)
-                .ok_or_else(|| format!("cache state: set {si} has the wrong way count"))?;
-            for (wi, way) in ways.iter().enumerate() {
-                let triple = way
-                    .as_array()
-                    .filter(|t| t.len() == 3)
-                    .ok_or_else(|| format!("cache state: set {si} way is not a triple"))?;
-                let field = |i: usize| {
-                    triple[i]
-                        .as_u64()
-                        .ok_or_else(|| format!("cache state: set {si} holds a non-u64"))
-                };
-                let w = si * self.assoc + wi;
-                self.lines[w] = field(0)?;
-                self.states[w] = match field(1)? {
-                    wire @ 0..=3 => 3 - wire as u8,
-                    other => return Err(format!("cache state: unknown line state {other}")),
-                };
-                self.last_use[w] = field(2)?;
+/// The valid ways as `(way, tag, state, LRU stamp)`: an invalid way's
+/// state and stamp are never read, so they are not captured, and a
+/// restore zeroes them. The way count and associativity come from the
+/// restoring cache's parameters and must both match.
+impl Persist for CacheArray {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.expect(self.lines.len() as u64, "cache ways")?;
+        c.expect(self.assoc as u64, "cache associativity")?;
+        self.use_counter.persist(c)?;
+        let mut valid: Vec<(usize, u64, u8, u64)> = if C::LOADING {
+            Vec::new()
+        } else {
+            (0..self.lines.len())
+                .filter(|&w| self.lines[w] != 0)
+                .map(|w| (w, self.lines[w], self.states[w], self.last_use[w]))
+                .collect()
+        };
+        valid.persist(c)?;
+        if C::LOADING {
+            // Fresh zeroed (lazily mapped) arrays, as at construction.
+            let ways = self.lines.len();
+            self.lines = vec![0; ways];
+            self.states = vec![0; ways];
+            self.last_use = vec![0; ways];
+            for (w, line, state, last_use) in valid {
+                if w >= self.lines.len() || line == 0 || state > 3 {
+                    return Err(malformed(format!(
+                        "cache way {w} holds tag {line} in state {state}"
+                    )));
+                }
+                self.lines[w] = line;
+                self.states[w] = state;
+                self.last_use[w] = last_use;
             }
         }
         Ok(())
@@ -386,9 +347,9 @@ mod tests {
         a.install(2 * 64, LineState::Shared);
         a.install(64, LineState::Owned);
         assert!(a.lookup(0).is_some()); // refresh LRU on line 0
-        let state = a.state_to_json_value();
+        let state = pxl_sim::persist::save(&mut a);
         let mut b = tiny();
-        b.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut b, &state).unwrap();
         assert_eq!(b.peek(0), Some(LineState::Modified));
         assert_eq!(b.peek(64), Some(LineState::Owned));
         // Same LRU victim choice after restore.
@@ -397,8 +358,8 @@ mod tests {
             b.install(4 * 64, LineState::Shared)
         );
         assert_eq!(
-            a.state_to_json_value().to_json(),
-            b.state_to_json_value().to_json()
+            pxl_sim::persist::save(&mut a),
+            pxl_sim::persist::save(&mut b)
         );
         // Geometry mismatch is refused.
         let params = CacheParams {
@@ -410,7 +371,20 @@ mod tests {
             clock: pxl_sim::Clock::ghz1("t"),
         };
         let mut wrong = CacheArray::new(&params);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("sets"));
+        let err = pxl_sim::persist::load(&mut wrong, &state).unwrap_err();
+        assert!(err.to_string().contains("cache ways"), "{err}");
+        // Same total ways in a different shape (1 set x 4 ways) is refused.
+        let params = CacheParams {
+            size_bytes: 256,
+            ways: 4,
+            line_bytes: 64,
+            hit_latency_cycles: 1,
+            next_line_prefetch: false,
+            clock: pxl_sim::Clock::ghz1("t"),
+        };
+        let mut reshaped = CacheArray::new(&params);
+        let err = pxl_sim::persist::load(&mut reshaped, &state).unwrap_err();
+        assert!(err.to_string().contains("cache associativity"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use pxl_sim::hash::Mix64Build;
-use pxl_sim::json::JsonValue;
+use pxl_sim::{Codec, Persist, SnapshotError};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -181,71 +181,26 @@ impl Memory {
             self.write_i32(addr + 4 * i as u64, v);
         }
     }
+}
 
-    /// Serializes every resident page for snapshot/restore: an object
-    /// keyed by decimal page index (in index order, so the output is
-    /// deterministic) holding each 4 KiB page as lower-case hex.
-    pub fn state_to_json_value(&self) -> JsonValue {
+/// Every resident page in index order, each as its index followed by the
+/// raw 4 KiB. Loading replaces the entire contents, so pages the restoring
+/// engine's input setup touched but the snapshot lacks read zero again.
+impl Persist for Memory {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
         let mut indices: Vec<u64> = self.pages.keys().copied().collect();
         indices.sort_unstable();
-        let members = indices
-            .into_iter()
-            .map(|idx| {
-                let page = &self.pages[&idx];
-                let mut hex = String::with_capacity(2 * PAGE_SIZE);
-                for b in page.iter() {
-                    hex.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-                    hex.push(char::from_digit((b & 0xF) as u32, 16).expect("nibble"));
-                }
-                (idx.to_string(), JsonValue::Str(hex))
-            })
-            .collect();
-        JsonValue::Object(members)
-    }
-
-    /// Replaces the entire contents with a state captured by
-    /// [`Memory::state_to_json_value`]. Pages not in the snapshot are
-    /// dropped (they read zero again), so restoring over a memory that
-    /// already holds benchmark inputs reproduces the snapshotted state
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed page.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let members = value
-            .as_object()
-            .ok_or("memory state: not an object of pages")?;
-        let mut pages: HashMap<_, _, Mix64Build> =
-            HashMap::with_capacity_and_hasher(members.len(), Mix64Build::default());
-        for (key, page) in members {
-            let idx: u64 = key
-                .parse()
-                .map_err(|_| format!("memory state: bad page index {key:?}"))?;
-            let hex = page
-                .as_str()
-                .ok_or_else(|| format!("memory state: page {key} is not a hex string"))?;
-            if hex.len() != 2 * PAGE_SIZE {
-                return Err(format!(
-                    "memory state: page {key} has {} hex digits, want {}",
-                    hex.len(),
-                    2 * PAGE_SIZE
-                ));
-            }
-            let mut data = Box::new([0u8; PAGE_SIZE]);
-            let bytes = hex.as_bytes();
-            for (i, out) in data.iter_mut().enumerate() {
-                let nibble = |c: u8| -> Result<u8, String> {
-                    (c as char)
-                        .to_digit(16)
-                        .map(|d| d as u8)
-                        .ok_or_else(|| format!("memory state: page {key} has non-hex byte"))
-                };
-                *out = (nibble(bytes[2 * i])? << 4) | nibble(bytes[2 * i + 1])?;
-            }
-            pages.insert(idx, data);
+        indices.persist(c)?;
+        if C::LOADING {
+            self.pages.clear();
         }
-        self.pages = pages;
+        for idx in indices {
+            let page = self
+                .pages
+                .entry(idx)
+                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            c.raw(&mut page[..])?;
+        }
         Ok(())
     }
 }
@@ -366,32 +321,23 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_u64(0x40, 0x0123_4567_89AB_CDEF);
         mem.write_bytes(3 * PAGE_SIZE as u64 - 2, &[1, 2, 3, 4]);
-        let state = mem.state_to_json_value();
+        let bytes = pxl_sim::persist::save(&mut mem);
         // Restoring over a dirtied memory must drop the extra page and
         // reproduce the original bytes exactly.
         let mut other = Memory::new();
         other.write_u64(0x40, 999);
         other.write_u64(0x9000, 7);
-        other.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut other, &bytes).unwrap();
         assert_eq!(other.read_u64(0x40), 0x0123_4567_89AB_CDEF);
         assert_eq!(other.read_u64(0x9000), 0, "stale page must vanish");
         assert_eq!(other.resident_pages(), mem.resident_pages());
         assert_eq!(
-            other.state_to_json_value().to_json(),
-            state.to_json(),
+            pxl_sim::persist::save(&mut other),
+            bytes,
             "round trip is byte-stable"
         );
-    }
-
-    #[test]
-    fn state_restore_rejects_garbage() {
-        let mut mem = Memory::new();
-        let bad = JsonValue::parse("{\"x\":\"00\"}").unwrap();
-        assert!(mem.restore_state(&bad).unwrap_err().contains("page index"));
-        let bad = JsonValue::parse("{\"1\":\"zz\"}").unwrap();
-        assert!(mem.restore_state(&bad).unwrap_err().contains("hex digits"));
-        let bad = JsonValue::parse("[1]").unwrap();
-        assert!(mem.restore_state(&bad).is_err());
+        // A page cut short is an error, not a zero-filled page.
+        assert!(pxl_sim::persist::load(&mut other, &bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

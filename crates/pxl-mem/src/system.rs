@@ -18,8 +18,7 @@
 //! paper's memory-bound results (spmvcrs, bfsqueue, stencil2d).
 
 use pxl_sim::config::{CacheParams, DramParams, MemoryConfig};
-use pxl_sim::json::JsonValue;
-use pxl_sim::{CounterId, Metrics, Time, TraceEvent, Tracer};
+use pxl_sim::{Codec, CounterId, Metrics, Persist, SnapshotError, Time, TraceEvent, Tracer};
 
 use crate::bandwidth::BandwidthMeter;
 use crate::cache::{CacheArray, LineState};
@@ -107,8 +106,8 @@ pub struct MemorySystem {
 /// counter on every lookup, so these skip the string lookup a name-keyed
 /// update would pay; they must be re-registered whenever `stats` is
 /// replaced (construction, [`MemorySystem::take_stats`],
-/// [`MemorySystem::restore_state`]) because the handles index the registry
-/// they were registered in.
+/// a snapshot restore keeps them: see `Metrics`' `Persist`) because the
+/// handles index the registry they were registered in.
 #[derive(Debug, Clone, Copy)]
 struct MemIds {
     l1_hits: CounterId,
@@ -206,72 +205,6 @@ impl MemorySystem {
     /// Takes the accumulated event trace out, leaving a disabled tracer.
     pub fn take_trace(&mut self) -> Tracer {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Serializes the complete hierarchy state — cache tag/state arrays,
-    /// bandwidth meters, statistics and the event trace — for
-    /// snapshot/restore. Timing parameters are *not* serialized; they come
-    /// from the configuration the restoring system was built with.
-    pub fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "l1s".to_owned(),
-                JsonValue::Array(
-                    self.l1s
-                        .iter()
-                        .map(CacheArray::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            ("l2".to_owned(), self.l2.state_to_json_value()),
-            ("bus_meter".to_owned(), self.bus_meter.state_to_json_value()),
-            ("l2_meter".to_owned(), self.l2_meter.state_to_json_value()),
-            (
-                "dram_meter".to_owned(),
-                self.dram_meter.state_to_json_value(),
-            ),
-            (
-                "stats".to_owned(),
-                JsonValue::parse(&self.stats.to_json()).expect("metrics JSON parses"),
-            ),
-            ("trace".to_owned(), self.trace.state_to_json_value()),
-        ])
-    }
-
-    /// Restores the state captured by [`MemorySystem::state_to_json_value`]
-    /// into a system built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed field or geometry
-    /// mismatch (e.g. a different L1 port count).
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("memory state: missing {key}"))
-        };
-        let l1s = field("l1s")?
-            .as_array()
-            .ok_or("memory state: l1s is not an array")?;
-        if l1s.len() != self.l1s.len() {
-            return Err(format!(
-                "memory state: {} L1 ports, this system has {}",
-                l1s.len(),
-                self.l1s.len()
-            ));
-        }
-        for (cache, state) in self.l1s.iter_mut().zip(l1s) {
-            cache.restore_state(state)?;
-        }
-        self.l2.restore_state(field("l2")?)?;
-        self.bus_meter.restore_state(field("bus_meter")?)?;
-        self.l2_meter.restore_state(field("l2_meter")?)?;
-        self.dram_meter.restore_state(field("dram_meter")?)?;
-        self.stats = Metrics::from_json(&field("stats")?.to_json())?;
-        self.ids = MemIds::register(&mut self.stats);
-        self.trace = Tracer::state_from_json_value(field("trace")?)?;
-        Ok(())
     }
 
     fn l1_hit_time(&self, port: usize) -> Time {
@@ -662,6 +595,22 @@ pub fn cpu_ports(cores: usize, config: &MemoryConfig) -> Vec<CacheParams> {
     vec![config.cpu_l1.clone(); cores]
 }
 
+/// The complete hierarchy state — cache tag/state arrays, bandwidth
+/// meters, statistics and the event trace. Timing parameters are *not*
+/// captured; they come from the configuration the restoring system was
+/// built with.
+impl Persist for MemorySystem {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.exact(&mut self.l1s, "L1 ports")?;
+        self.l2.persist(c)?;
+        self.bus_meter.persist(c)?;
+        self.l2_meter.persist(c)?;
+        self.dram_meter.persist(c)?;
+        self.stats.persist(c)?;
+        self.trace.persist(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,10 +849,10 @@ mod tests {
             };
             t = a.access(port, (i % 7) * 0x940, kind, t);
         }
-        let state = a.state_to_json_value();
+        let state = pxl_sim::persist::save(&mut a);
         let mut b = sys(2);
         b.enable_trace(256);
-        b.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut b, &state).unwrap();
         assert_eq!(b.stats().to_json(), a.stats().to_json());
         // Identical future behavior: same timing, same stats, same trace.
         for i in 0..40u64 {
@@ -921,7 +870,8 @@ mod tests {
         );
         // Geometry mismatch is refused.
         let mut wrong = sys(3);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("ports"));
+        let err = pxl_sim::persist::load(&mut wrong, &state).unwrap_err();
+        assert!(err.to_string().contains("ports"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! scaling from 4 to 8 PEs).
 
 use pxl_sim::config::{CacheParams, CpuCoreParams, DramParams, MemoryConfig};
-use pxl_sim::json::JsonValue;
-use pxl_sim::{Clock, CounterId, Metrics, Time, TraceEvent, Tracer};
+use pxl_sim::snapshot::malformed;
+use pxl_sim::{Clock, Codec, CounterId, Metrics, Persist, SnapshotError, Time, TraceEvent, Tracer};
 
 use crate::bandwidth::BandwidthMeter;
 use crate::system::AccessKind;
@@ -40,7 +40,7 @@ impl Default for AcpParams {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Stream {
     /// The last line address served by this stream.
     last_line: u64,
@@ -141,105 +141,6 @@ impl ZedboardMemory {
     /// Takes the accumulated event trace out, leaving a disabled tracer.
     pub fn take_trace(&mut self) -> Tracer {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Serializes the complete path state — stream buffers (in allocation
-    /// order, which the LRU replacement depends on), ACP meter, LRU tick,
-    /// statistics and trace — for snapshot/restore.
-    pub fn state_to_json_value(&self) -> JsonValue {
-        let streams = self
-            .streams
-            .iter()
-            .map(|port| {
-                JsonValue::Array(
-                    port.iter()
-                        .map(|s| {
-                            JsonValue::Array(vec![
-                                JsonValue::num_u64(s.last_line),
-                                JsonValue::num_u64(s.last_use),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("streams".to_owned(), JsonValue::Array(streams)),
-            ("acp_meter".to_owned(), self.acp_meter.state_to_json_value()),
-            ("tick".to_owned(), JsonValue::num_u64(self.tick)),
-            (
-                "stats".to_owned(),
-                JsonValue::parse(&self.stats.to_json()).expect("metrics JSON parses"),
-            ),
-            ("trace".to_owned(), self.trace.state_to_json_value()),
-        ])
-    }
-
-    /// Restores the state captured by
-    /// [`ZedboardMemory::state_to_json_value`] into a path built with the
-    /// same parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed field or geometry
-    /// mismatch (wrong port count, too many streams for a port).
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("zedboard state: missing {key}"))
-        };
-        let ports = field("streams")?
-            .as_array()
-            .ok_or("zedboard state: streams is not an array")?;
-        if ports.len() != self.streams.len() {
-            return Err(format!(
-                "zedboard state: {} ports, this path has {}",
-                ports.len(),
-                self.streams.len()
-            ));
-        }
-        let mut streams = Vec::with_capacity(ports.len());
-        for port in ports {
-            let entries = port
-                .as_array()
-                .ok_or("zedboard state: port streams is not an array")?;
-            if entries.len() > self.params.streams_per_port {
-                return Err(format!(
-                    "zedboard state: {} streams on one port, limit is {}",
-                    entries.len(),
-                    self.params.streams_per_port
-                ));
-            }
-            let mut list = Vec::with_capacity(self.params.streams_per_port);
-            for entry in entries {
-                let pair = entry
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or("zedboard state: stream is not a [last_line, last_use] pair")?;
-                let last_line = pair[0]
-                    .as_u64()
-                    .ok_or("zedboard state: last_line is not a u64")?;
-                let last_use = pair[1]
-                    .as_u64()
-                    .ok_or("zedboard state: last_use is not a u64")?;
-                list.push(Stream {
-                    last_line,
-                    last_use,
-                });
-            }
-            streams.push(list);
-        }
-        self.acp_meter.restore_state(field("acp_meter")?)?;
-        let tick = field("tick")?
-            .as_u64()
-            .ok_or("zedboard state: tick is not a u64")?;
-        self.stats = Metrics::from_json(&field("stats")?.to_json())?;
-        self.ids = ZedIds::register(&mut self.stats);
-        self.trace = Tracer::state_from_json_value(field("trace")?)?;
-        self.streams = streams;
-        self.tick = tick;
-        Ok(())
     }
 
     fn line_transfer(&self) -> Time {
@@ -403,6 +304,33 @@ pub fn zedboard_cpu_core() -> CpuCoreParams {
     }
 }
 
+/// The complete path state — stream buffers (in allocation order, which
+/// the LRU replacement depends on), ACP meter, LRU tick, statistics and
+/// trace.
+impl Persist for ZedboardMemory {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.exact(&mut self.streams, "stream-buffer ports")?;
+        let limit = self.params.streams_per_port;
+        if let Some(port) = self.streams.iter().find(|p| p.len() > limit) {
+            return Err(malformed(format!(
+                "{} streams on one port, limit is {limit}",
+                port.len()
+            )));
+        }
+        self.acp_meter.persist(c)?;
+        self.tick.persist(c)?;
+        self.stats.persist(c)?;
+        self.trace.persist(c)
+    }
+}
+
+impl Persist for Stream {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.last_line.persist(c)?;
+        self.last_use.persist(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,10 +411,10 @@ mod tests {
         for i in 0..30u64 {
             t = a.access((i % 2) as usize, (i % 5) * 300 * 64, AccessKind::Read, t);
         }
-        let state = a.state_to_json_value();
+        let state = pxl_sim::persist::save(&mut a);
         let mut b = ZedboardMemory::new(2, p.clone());
         b.enable_trace(128);
-        b.restore_state(&state).unwrap();
+        pxl_sim::persist::load(&mut b, &state).unwrap();
         // Identical future behavior, including LRU victim choices.
         for i in 0..30u64 {
             let ta = a.access((i % 2) as usize, i * 700 * 64, AccessKind::Read, t);
@@ -498,7 +426,8 @@ mod tests {
         assert_eq!(b.take_trace().to_jsonl(), a.take_trace().to_jsonl());
         // Wrong port count is refused.
         let mut wrong = ZedboardMemory::new(3, p);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("ports"));
+        let err = pxl_sim::persist::load(&mut wrong, &state).unwrap_err();
+        assert!(err.to_string().contains("ports"), "{err}");
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! same.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use pxl_flow::RunSpec;
 use pxl_sim::XorShift64;
 
-use crate::protocol::{ErrorCode, JobEvent, JobId, JobKind, Request};
+use crate::protocol::{write_line, ErrorCode, JobEvent, JobId, JobKind, Request};
 
 /// Why a client call failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,6 +239,10 @@ impl Client {
     }
 
     fn from_stream(writer: TcpStream) -> Result<Client, ClientError> {
+        // Requests are small, latency-bound lines: send each one at once.
+        writer
+            .set_nodelay(true)
+            .map_err(|e| io_error("set nodelay", &e))?;
         let reading = writer
             .try_clone()
             .map_err(|e| ClientError::Io(e.to_string()))?;
@@ -250,9 +254,7 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        writeln!(self.writer, "{}", request.to_json())
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| io_error("send", &e))
+        write_line(&mut self.writer, &request.to_json()).map_err(|e| io_error("send", &e))
     }
 
     fn read_event(&mut self) -> Result<(JobEvent, String), ClientError> {

@@ -7,9 +7,34 @@
 //! (fixed member order via [`JsonValue`]), so two identical results are
 //! byte-identical on the wire — the property the dedup smoke asserts.
 
+use std::io::Write;
+
 use pxl_dse::Measurement;
 use pxl_flow::{RunSpec, SpecError};
 use pxl_sim::json::JsonValue;
+
+/// The longest request line the server reads, in bytes (newline
+/// excluded): far above any real [`Request`] — a submit with a full
+/// [`RunSpec`] is well under a kilobyte — yet small enough that one client
+/// cannot grow the server's memory without bound. An over-long line is
+/// answered with [`ErrorCode::BadRequest`] and the connection is closed.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Sends one protocol line: `line` and its newline leave in a single
+/// `write_all`, then flush. Two writes would put the newline in a segment
+/// of its own, which Nagle's algorithm holds back until the peer's delayed
+/// ACK arrives — tens of milliseconds per message.
+///
+/// # Errors
+///
+/// Whatever the underlying write or flush reports.
+pub fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    out.write_all(&framed)?;
+    out.flush()
+}
 
 /// A server-assigned job identity, unique within one server lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1007,5 +1032,32 @@ mod tests {
             .unwrap_err()
             .contains("unknown event"));
         assert!(JobEvent::from_json("{}").unwrap_err().contains("'event'"));
+    }
+
+    /// A `Write` fake that counts the calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_protocol_line_leaves_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_line(&mut out, &Request::Status.to_json()).unwrap();
+        assert_eq!(out.writes, 1, "line and newline must share one write");
+        assert_eq!(out.bytes, b"{\"op\":\"status\"}\n");
     }
 }

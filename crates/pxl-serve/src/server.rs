@@ -34,7 +34,6 @@
 //! run without the lock held.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,7 +45,9 @@ use pxl_sim::pool::WorkerPool;
 use pxl_sim::{Metrics, Snapshot};
 
 use crate::journal::{self, Journal};
-use crate::protocol::{ErrorCode, JobEvent, JobId, JobKind, Request};
+use crate::protocol::{
+    write_line, ErrorCode, JobEvent, JobId, JobKind, Request, MAX_REQUEST_LINE_BYTES,
+};
 use crate::sched::FairQueue;
 
 /// Trace capacity forced onto profile jobs whose spec does not request
@@ -191,9 +192,7 @@ struct Shared {
 fn send_line(writer: &Writer, line: &str) {
     // A vanished client must not take the server down; its events are
     // still in the job log.
-    let mut stream = writer.lock().expect("writer mutex");
-    let _ = writeln!(stream, "{line}");
-    let _ = stream.flush();
+    let _ = write_line(&mut *writer.lock().expect("writer mutex"), line);
 }
 
 /// [`send_line`] for jobs that may have no client (journal-recovered).
@@ -408,18 +407,52 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    use std::io::BufRead;
+    use std::io::{BufRead, Read};
+    // Events are small, latency-bound lines: send each one immediately.
+    let _ = stream.set_nodelay(true);
     let Ok(reading) = stream.try_clone() else {
         return;
     };
     let writer: Writer = Arc::new(Mutex::new(stream));
-    let reader = std::io::BufReader::new(reading);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = std::io::BufReader::new(reading);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that fits.
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_LINE_BYTES {
+            emit(
+                shared,
+                &writer,
+                &[JobEvent::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!(
+                        "request line exceeds the {MAX_REQUEST_LINE_BYTES}-byte limit"
+                    ),
+                }],
+            );
+            // Close the socket even while this client's jobs hold the
+            // writer; their later events only go to the job log.
+            let _ = writer
+                .lock()
+                .expect("writer mutex")
+                .shutdown(std::net::Shutdown::Both);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        match Request::from_json(&line) {
+        match Request::from_json(line) {
             Err(e) => emit(
                 shared,
                 &writer,

@@ -35,6 +35,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::persist::{Codec, Persist};
+use crate::snapshot::{malformed, SnapshotError};
 use crate::time::Time;
 
 /// Near-future lane geometry: `NUM_BUCKETS` buckets of `1 << BUCKET_SHIFT`
@@ -414,6 +416,49 @@ impl<T> EventQueue<T> {
             .into_iter()
             .map(|e| (e.when, self.slab.get(e.slot)))
             .collect()
+    }
+
+    /// Persists the pending events in pop order, each as its time followed
+    /// by the owner's word encoding of the payload: `encode` flattens a
+    /// payload, `decode` rebuilds one, both with access to `ctx` (where an
+    /// owner keeps out-of-line payload parts). Loading replaces the queue's
+    /// contents, re-pushing in pop order so every tie-break survives.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] for an empty entry or one `decode`
+    /// rejects.
+    pub fn persist_words<C: Codec, X>(
+        &mut self,
+        c: &mut C,
+        ctx: &mut X,
+        encode: impl Fn(&T, &X) -> Vec<u64>,
+        mut decode: impl FnMut(&[u64], &mut X) -> Result<T, String>,
+    ) -> Result<(), SnapshotError> {
+        let mut entries: Vec<Vec<u64>> = if C::LOADING {
+            Vec::new()
+        } else {
+            self.ordered()
+                .into_iter()
+                .map(|(when, payload)| {
+                    let mut words = vec![when.as_ps()];
+                    words.extend(encode(payload, ctx));
+                    words
+                })
+                .collect()
+        };
+        entries.persist(c)?;
+        if C::LOADING {
+            self.clear();
+            for words in &entries {
+                let (when, body) = words
+                    .split_first()
+                    .ok_or_else(|| malformed("empty event entry"))?;
+                let payload = decode(body, ctx).map_err(malformed)?;
+                self.push(Time::from_ps(*when), payload);
+            }
+        }
+        Ok(())
     }
 }
 

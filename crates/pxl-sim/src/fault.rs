@@ -50,7 +50,9 @@
 //! ```
 
 use crate::json::JsonValue;
+use crate::persist::{Codec, Persist};
 use crate::rng::XorShift64;
+use crate::snapshot::SnapshotError;
 use crate::time::Time;
 
 /// Which on-chip network a message fault applies to.
@@ -492,33 +494,6 @@ impl FaultScheduler {
         &self.specs[idx]
     }
 
-    /// The scheduler's position: the RNG state and the remaining budget of
-    /// every spec. Together with the plan this reconstructs the scheduler
-    /// exactly (see [`FaultScheduler::load_state`]).
-    pub fn save_state(&self) -> (u64, Vec<u32>) {
-        (self.rng.state(), self.remaining.clone())
-    }
-
-    /// Restores a position captured by [`FaultScheduler::save_state`] into
-    /// a scheduler freshly armed from the same plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `remaining` does not match the plan's spec
-    /// count.
-    pub fn load_state(&mut self, rng_state: u64, remaining: Vec<u32>) -> Result<(), String> {
-        if remaining.len() != self.specs.len() {
-            return Err(format!(
-                "fault scheduler: {} budgets for {} specs",
-                remaining.len(),
-                self.specs.len()
-            ));
-        }
-        self.rng = XorShift64::new(rng_state);
-        self.remaining = remaining;
-        Ok(())
-    }
-
     /// Decides the fate of one message sent on `net` at time `now`.
     ///
     /// Scans specs in plan order; the first drop/dup spec whose window,
@@ -546,6 +521,15 @@ impl FaultScheduler {
             }
         }
         SendVerdict::Deliver
+    }
+}
+
+/// The scheduler's position: the RNG state and the remaining budget of
+/// every spec. The specs themselves come from the restoring engine's plan.
+impl Persist for FaultScheduler {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.rng.persist(c)?;
+        c.exact(&mut self.remaining, "fault specs")
     }
 }
 
@@ -653,9 +637,9 @@ mod tests {
         for i in 0..100u64 {
             half.on_send(NetClass::Arg, Time::from_ps(i));
         }
-        let (rng, remaining) = half.save_state();
+        let bytes = crate::persist::save(&mut half);
         let mut resumed = FaultScheduler::new(&plan);
-        resumed.load_state(rng, remaining).unwrap();
+        crate::persist::load(&mut resumed, &bytes).unwrap();
         for i in 0..100u64 {
             full.on_send(NetClass::Arg, Time::from_ps(i));
         }
@@ -666,7 +650,11 @@ mod tests {
                 "message {i} diverged after restore"
             );
         }
-        assert!(resumed.load_state(1, vec![0]).is_err(), "bad budget length");
+        let mut other = FaultScheduler::new(&FaultPlan::new(99));
+        assert!(
+            crate::persist::load(&mut other, &bytes).is_err(),
+            "bad budget length"
+        );
     }
 
     #[test]

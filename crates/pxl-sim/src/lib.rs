@@ -9,7 +9,8 @@
 //! random sources ([`rng::XorShift64`] and the 16-bit [`rng::Lfsr16`] used by
 //! the task-management unit for victim selection), a typed [`metrics`]
 //! registry for the counters, gauges and histograms every component reports,
-//! and a bounded structured event [`trace`] with deterministic JSONL export.
+//! a bounded structured event [`trace`] with deterministic JSONL export, and
+//! the symmetric binary [`persist`] codec behind engine [`Snapshot`]s.
 //!
 //! # Examples
 //!
@@ -28,6 +29,7 @@ pub mod fault;
 pub mod hash;
 pub mod json;
 pub mod metrics;
+pub mod persist;
 pub mod pool;
 pub mod qcheck;
 pub mod rng;
@@ -41,6 +43,7 @@ pub use event::{EventQueue, EventSlab};
 pub use fault::{FaultKind, FaultPlan, FaultScheduler, FaultSpec, NetClass, SendVerdict};
 pub use hash::{fnv64, Fnv64};
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricKind, Metrics};
+pub use persist::{Codec, Persist};
 pub use pool::parallel_map;
 pub use rng::{Lfsr16, XorShift64};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};

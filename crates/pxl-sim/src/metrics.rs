@@ -39,11 +39,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json;
+use crate::persist::{Codec, Persist};
+use crate::snapshot::{malformed, SnapshotError};
 
 /// What a metric measures, which decides how [`Metrics::merge`] combines it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricKind {
     /// Monotonic event count; merged by summing.
+    #[default]
     Counter,
     /// High-water mark (peak occupancy and the like); merged by maximum.
     Gauge,
@@ -75,7 +78,7 @@ pub struct GaugeId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(u32);
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Slot {
     name: String,
     kind: MetricKind,
@@ -343,55 +346,65 @@ impl Metrics {
         out.push_str("}}");
         out
     }
+}
 
-    /// Rebuilds a registry from [`Metrics::to_json`] output.
-    ///
-    /// The round trip is exact: counters and gauges recover their values,
-    /// histograms their `(count, sum, min, max)` summary (an exported
-    /// zero-count histogram comes back empty). Snapshot/restore merges the
-    /// result into a freshly registered registry, which reproduces the
-    /// original values because fresh slots are all zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(text: &str) -> Result<Metrics, String> {
-        let value = json::JsonValue::parse(text).map_err(|e| format!("metrics: {e}"))?;
-        let section = |key: &str| {
-            value
-                .get(key)
-                .and_then(json::JsonValue::as_object)
-                .ok_or_else(|| format!("metrics: missing object {key:?}"))
+/// The registry in slot (registration) order. A restoring engine has
+/// already registered its typed handles at construction, so the snapshot
+/// must open with exactly those slots for the handles to stay valid.
+impl Persist for Metrics {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let registered: Vec<(String, MetricKind)> = if C::LOADING {
+            self.slots
+                .iter()
+                .map(|s| (s.name.clone(), s.kind))
+                .collect()
+        } else {
+            Vec::new()
         };
-        let mut m = Metrics::new();
-        for (name, v) in section("counters")? {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("metrics: counter {name:?} is not a u64"))?;
-            m.add(name, v);
+        self.slots.persist(c)?;
+        if !C::LOADING {
+            return Ok(());
         }
-        for (name, v) in section("gauges")? {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("metrics: gauge {name:?} is not a u64"))?;
-            m.max(name, v);
+        if self.slots.len() < registered.len()
+            || registered
+                .iter()
+                .zip(&self.slots)
+                .any(|((name, kind), slot)| *name != slot.name || *kind != slot.kind)
+        {
+            return Err(malformed(
+                "metrics registry does not extend this engine's registrations",
+            ));
         }
-        for (name, h) in section("histograms")? {
-            let field = |key: &str| {
-                h.get(key)
-                    .and_then(json::JsonValue::as_u64)
-                    .ok_or_else(|| format!("metrics: histogram {name:?} missing {key}"))
-            };
-            let count = field("count")?;
-            let id = m.register(name, MetricKind::Histogram);
-            m.slots[id as usize].histo = Histogram {
-                count,
-                sum: field("sum")?,
-                min: (count > 0).then(|| field("min")).transpose()?,
-                max: (count > 0).then(|| field("max")).transpose()?,
-            };
+        self.index.clear();
+        for (id, slot) in self.slots.iter().enumerate() {
+            if self.index.insert(slot.name.clone(), id as u32).is_some() {
+                return Err(malformed(format!("metric {:?} appears twice", slot.name)));
+            }
         }
-        Ok(m)
+        Ok(())
+    }
+}
+
+impl Persist for Slot {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.name.persist(c)?;
+        self.kind.persist(c)?;
+        self.value.persist(c)?;
+        self.histo.persist(c)
+    }
+}
+
+impl Persist for MetricKind {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut tag = *self as u8;
+        tag.persist(c)?;
+        *self = match tag {
+            0 => MetricKind::Counter,
+            1 => MetricKind::Gauge,
+            2 => MetricKind::Histogram,
+            t => return Err(malformed(format!("unknown metric kind {t}"))),
+        };
+        Ok(())
     }
 }
 
@@ -521,6 +534,15 @@ impl fmt::Display for Histogram {
             self.min.unwrap_or(0),
             self.max.unwrap_or(0)
         )
+    }
+}
+
+impl Persist for Histogram {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.count.persist(c)?;
+        self.sum.persist(c)?;
+        self.min.persist(c)?;
+        self.max.persist(c)
     }
 }
 
@@ -692,41 +714,44 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
+    fn persist_round_trip_is_exact() {
         let mut m = Metrics::new();
         m.add("pe0.tasks", 42);
         m.max("pe0.peak", 7);
         m.sample("lat", 5);
         m.sample("lat", 15);
         m.register_histogram("empty");
-        let back = Metrics::from_json(&m.to_json()).unwrap();
+        let bytes = crate::persist::save(&mut m);
+        // The restoring registry already holds the construction-time
+        // registrations; later ones are appended from the snapshot.
+        let mut back = Metrics::new();
+        let tasks = back.register_counter("pe0.tasks");
+        crate::persist::load(&mut back, &bytes).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.to_json(), m.to_json());
         assert!(back.histogram("empty").is_none());
-        // Merging the restored registry into a freshly registered (all-zero)
-        // one reproduces the original exactly — the restore path.
-        let mut fresh = Metrics::new();
-        fresh.add("pe0.tasks", 0);
-        fresh.max("pe0.peak", 0);
-        fresh.register_histogram("lat");
-        fresh.register_histogram("empty");
-        fresh.merge(&back);
-        assert_eq!(fresh.to_json(), m.to_json());
+        back.inc(tasks);
+        assert_eq!(back.get("pe0.tasks"), 43, "typed handles stay valid");
     }
 
     #[test]
-    fn from_json_names_the_problem() {
-        assert!(Metrics::from_json("{}").unwrap_err().contains("counters"));
-        assert!(
-            Metrics::from_json("{\"counters\":{\"x\":true},\"gauges\":{},\"histograms\":{}}")
-                .unwrap_err()
-                .contains("not a u64")
-        );
-        assert!(Metrics::from_json(
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{\"count\":1}}}"
-        )
-        .unwrap_err()
-        .contains("missing sum"));
+    fn persist_rejects_a_foreign_registry() {
+        let mut m = Metrics::new();
+        m.add("pe0.tasks", 1);
+        let bytes = crate::persist::save(&mut m);
+        let mut other = Metrics::new();
+        other.register_gauge("pe0.peak");
+        let err = crate::persist::load(&mut other, &bytes).unwrap_err();
+        assert!(err.to_string().contains("registrations"), "{err}");
+        let mut twice = Metrics::new();
+        twice.add("x", 1);
+        twice.add("y", 1);
+        let mut bytes = crate::persist::save(&mut twice);
+        // Rename "y" to "x": slot names must stay unique.
+        let at = bytes.iter().rposition(|&b| b == b'y').unwrap();
+        bytes[at] = b'x';
+        let err = crate::persist::load(&mut Metrics::new(), &bytes).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! Both are fully deterministic given their seed, which is what makes
 //! simulations reproducible cycle-for-cycle.
 
+use crate::persist::{Codec, Persist};
+use crate::snapshot::SnapshotError;
+
 /// A 16-bit Fibonacci LFSR with taps at bits 16, 15, 13 and 4
 /// (polynomial x^16 + x^15 + x^13 + x^4 + 1), a maximal-length
 /// configuration producing a period of 2^16 - 1.
@@ -52,11 +55,6 @@ impl Lfsr16 {
         let s = self.state;
         let bit = (s ^ (s >> 1) ^ (s >> 3) ^ (s >> 12)) & 1;
         self.state = (s >> 1) | (bit << 15);
-        self.state
-    }
-
-    /// Returns the current state without advancing.
-    pub fn state(&self) -> u16 {
         self.state
     }
 
@@ -139,14 +137,17 @@ impl XorShift64 {
     pub fn split(&mut self) -> XorShift64 {
         XorShift64::new(self.next_u64() | 1)
     }
+}
 
-    /// Returns the current internal state without advancing.
-    ///
-    /// The state is never zero, so feeding it back through
-    /// [`XorShift64::new`] reconstructs the generator exactly — the hook
-    /// snapshot/restore uses to checkpoint RNG streams mid-run.
-    pub fn state(&self) -> u64 {
-        self.state
+impl Persist for Lfsr16 {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.state.persist(c)
+    }
+}
+
+impl Persist for XorShift64 {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.state.persist(c)
     }
 }
 
@@ -157,19 +158,19 @@ mod tests {
     #[test]
     fn lfsr_zero_seed_is_remapped() {
         let a = Lfsr16::new(0);
-        assert_ne!(a.state(), 0);
+        assert_ne!(a.state, 0);
     }
 
     #[test]
     fn lfsr_never_reaches_zero_and_has_full_period() {
         let mut lfsr = Lfsr16::new(1);
-        let start = lfsr.state();
+        let start = lfsr.state;
         let mut period = 0u32;
         loop {
             let v = lfsr.step();
             assert_ne!(v, 0, "LFSR must never produce the all-zero state");
             period += 1;
-            if lfsr.state() == start {
+            if lfsr.state == start {
                 break;
             }
             assert!(period <= 65_535, "period exceeded 2^16-1");

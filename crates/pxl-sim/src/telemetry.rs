@@ -36,12 +36,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::metrics::{MetricKind, Metrics};
+use crate::persist::{Codec, Persist};
+use crate::snapshot::SnapshotError;
 use crate::time::Time;
 
 /// One counter's movement over a sample window.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterDelta {
     /// Registry name of the counter.
     pub name: String,
@@ -53,7 +55,7 @@ pub struct CounterDelta {
 }
 
 /// One windowed snapshot of the registry plus engine gauges.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySample {
     /// Zero-based epoch index.
     pub epoch: u64,
@@ -109,59 +111,23 @@ impl TelemetrySample {
         out.push_str("}}");
         out
     }
+}
 
-    /// Rebuilds a sample from a parsed [`TelemetrySample::to_json`] object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json_value(value: &JsonValue) -> Result<TelemetrySample, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("telemetry sample: missing {key}"))
-        };
-        let gauges = value
-            .get("gauges")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry sample: missing gauges object")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("telemetry sample: gauge {k:?} is not a u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let counters = value
-            .get("counters")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry sample: missing counters object")?
-            .iter()
-            .map(|(k, v)| {
-                let pair: Vec<u64> = v
-                    .as_array()
-                    .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                    .unwrap_or_default();
-                match pair[..] {
-                    [delta, rate] => Ok(CounterDelta {
-                        name: k.clone(),
-                        delta,
-                        rate,
-                    }),
-                    _ => Err(format!(
-                        "telemetry sample: counter {k:?} is not a [delta,rate] pair"
-                    )),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TelemetrySample {
-            epoch: num("epoch")?,
-            at: Time::from_ps(num("t_ps")?),
-            window: Time::from_ps(num("window_ps")?),
-            gauges,
-            counters,
-        })
+impl Persist for TelemetrySample {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.epoch.persist(c)?;
+        self.at.persist(c)?;
+        self.window.persist(c)?;
+        self.gauges.persist(c)?;
+        self.counters.persist(c)
+    }
+}
+
+impl Persist for CounterDelta {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.name.persist(c)?;
+        self.delta.persist(c)?;
+        self.rate.persist(c)
     }
 }
 
@@ -314,83 +280,20 @@ impl TelemetrySampler {
     pub fn take_timeline(&mut self) -> Timeline {
         Timeline::new(std::mem::take(&mut self.samples))
     }
+}
 
-    /// Serializes the complete sampler state — cursor, last-seen counter
-    /// values and every buffered sample — for snapshot/restore.
-    pub fn state_to_json_value(&self) -> JsonValue {
-        let last = self
-            .last
-            .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::num_u64(*v)))
-            .collect();
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| JsonValue::parse(&s.to_json()).expect("samples emit valid JSON"))
-            .collect();
-        JsonValue::Object(vec![
-            (
-                "every_ps".to_owned(),
-                JsonValue::num_u64(self.every.as_ps()),
-            ),
-            (
-                "next_at_ps".to_owned(),
-                JsonValue::num_u64(self.next_at.as_ps()),
-            ),
-            ("epoch".to_owned(), JsonValue::num_u64(self.epoch)),
-            (
-                "window_start_ps".to_owned(),
-                JsonValue::num_u64(self.window_start.as_ps()),
-            ),
-            ("last".to_owned(), JsonValue::Object(last)),
-            ("samples".to_owned(), JsonValue::Array(samples)),
-        ])
-    }
-
-    /// Rebuilds a sampler from [`TelemetrySampler::state_to_json_value`]
-    /// output. The round trip is exact, so a restored run keeps sampling
-    /// with the same cursor, deltas and epoch numbering as the original.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn state_from_json_value(value: &JsonValue) -> Result<TelemetrySampler, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("telemetry state: missing {key}"))
-        };
-        let every = Time::from_ps(num("every_ps")?);
-        if every == Time::ZERO {
-            return Err("telemetry state: zero epoch width".to_owned());
-        }
-        let last = value
-            .get("last")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry state: missing last object")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("telemetry state: last {k:?} is not a u64"))
-            })
-            .collect::<Result<BTreeMap<_, _>, _>>()?;
-        let samples = value
-            .get("samples")
-            .and_then(JsonValue::as_array)
-            .ok_or("telemetry state: missing samples array")?
-            .iter()
-            .map(TelemetrySample::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TelemetrySampler {
-            every,
-            next_at: Time::from_ps(num("next_at_ps")?),
-            epoch: num("epoch")?,
-            window_start: Time::from_ps(num("window_start_ps")?),
-            last,
-            samples,
-        })
+/// The complete sampler state — cursor, last-seen counter values and every
+/// buffered sample — so a restored run keeps sampling with the same
+/// deltas and epoch numbering as the original. The epoch width comes from
+/// the restoring engine's configuration and must match.
+impl Persist for TelemetrySampler {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.expect(self.every.as_ps(), "ps telemetry epochs")?;
+        self.next_at.persist(c)?;
+        self.epoch.persist(c)?;
+        self.window_start.persist(c)?;
+        self.last.persist(c)?;
+        self.samples.persist(c)
     }
 }
 
@@ -511,7 +414,9 @@ mod tests {
         let mut m = metrics_with(6, 2);
         let mut t = TelemetrySampler::new(Time::from_ps(500));
         t.tick(Time::from_ps(1_100), &m, &[("ready", 1)]);
-        let back = TelemetrySampler::state_from_json_value(&t.state_to_json_value()).unwrap();
+        let bytes = crate::persist::save(&mut t);
+        let mut back = TelemetrySampler::new(Time::from_ps(500));
+        crate::persist::load(&mut back, &bytes).unwrap();
         assert_eq!(back, t);
         // Continued sampling behaves identically in both samplers.
         m.add("accel.steal_hits", 4);
@@ -524,21 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn state_parse_errors_name_the_problem() {
-        let v = JsonValue::parse(
-            "{\"every_ps\":10,\"next_at_ps\":10,\"epoch\":0,\"window_start_ps\":0,\"last\":{}}",
-        )
-        .unwrap();
-        assert!(TelemetrySampler::state_from_json_value(&v)
-            .unwrap_err()
-            .contains("samples"));
-        let v = JsonValue::parse(
-            "{\"every_ps\":0,\"next_at_ps\":0,\"epoch\":0,\"window_start_ps\":0,\
-             \"last\":{},\"samples\":[]}",
-        )
-        .unwrap();
-        assert!(TelemetrySampler::state_from_json_value(&v)
-            .unwrap_err()
-            .contains("zero epoch"));
+    fn restore_checks_the_epoch_width() {
+        let mut t = TelemetrySampler::new(Time::from_ps(500));
+        t.tick(Time::from_ps(600), &metrics_with(1, 0), &[]);
+        let bytes = crate::persist::save(&mut t);
+        let mut wider = TelemetrySampler::new(Time::from_ps(1_000));
+        let err = crate::persist::load(&mut wider, &bytes).unwrap_err();
+        assert!(err.to_string().contains("telemetry epochs"), "{err}");
     }
 }

@@ -38,6 +38,8 @@
 //! ```
 
 use crate::json;
+use crate::persist::{Codec, Persist};
+use crate::snapshot::{malformed, SnapshotError};
 use crate::time::Time;
 
 /// One structured simulator event.
@@ -118,28 +120,55 @@ pub enum TraceEvent {
     },
 }
 
+/// JSONL `"kind"` names in variant order (see `TraceEvent::tag`).
+const KINDS: [&str; 18] = [
+    "task_dispatch",
+    "task_complete",
+    "spawn",
+    "steal_request",
+    "steal_grant",
+    "steal_fail",
+    "pstore_alloc",
+    "pstore_join",
+    "pstore_dealloc",
+    "cache_hit",
+    "cache_miss",
+    "cache_evict",
+    "dram_saturated",
+    "fault.injected",
+    "fault.recovered",
+    "fault.unrecovered",
+    "watchdog.stall",
+    "link_xfer",
+];
+
 impl TraceEvent {
     /// Short stable name used as the JSONL `"kind"` field.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.tag() as usize]
+    }
+
+    /// The variant's index into [`KINDS`]; also its snapshot tag.
+    fn tag(&self) -> u8 {
         match self {
-            TraceEvent::TaskDispatch { .. } => "task_dispatch",
-            TraceEvent::TaskComplete { .. } => "task_complete",
-            TraceEvent::Spawn { .. } => "spawn",
-            TraceEvent::StealRequest { .. } => "steal_request",
-            TraceEvent::StealGrant { .. } => "steal_grant",
-            TraceEvent::StealFail { .. } => "steal_fail",
-            TraceEvent::PStoreAlloc { .. } => "pstore_alloc",
-            TraceEvent::PStoreJoin { .. } => "pstore_join",
-            TraceEvent::PStoreDealloc { .. } => "pstore_dealloc",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::DramSaturated { .. } => "dram_saturated",
-            TraceEvent::FaultInjected { .. } => "fault.injected",
-            TraceEvent::FaultRecovered { .. } => "fault.recovered",
-            TraceEvent::FaultUnrecovered { .. } => "fault.unrecovered",
-            TraceEvent::WatchdogStall { .. } => "watchdog.stall",
-            TraceEvent::LinkXfer { .. } => "link_xfer",
+            TraceEvent::TaskDispatch { .. } => 0,
+            TraceEvent::TaskComplete { .. } => 1,
+            TraceEvent::Spawn { .. } => 2,
+            TraceEvent::StealRequest { .. } => 3,
+            TraceEvent::StealGrant { .. } => 4,
+            TraceEvent::StealFail { .. } => 5,
+            TraceEvent::PStoreAlloc { .. } => 6,
+            TraceEvent::PStoreJoin { .. } => 7,
+            TraceEvent::PStoreDealloc { .. } => 8,
+            TraceEvent::CacheHit { .. } => 9,
+            TraceEvent::CacheMiss { .. } => 10,
+            TraceEvent::CacheEvict { .. } => 11,
+            TraceEvent::DramSaturated { .. } => 12,
+            TraceEvent::FaultInjected { .. } => 13,
+            TraceEvent::FaultRecovered { .. } => 14,
+            TraceEvent::FaultUnrecovered { .. } => 15,
+            TraceEvent::WatchdogStall { .. } => 16,
+            TraceEvent::LinkXfer { .. } => 17,
         }
     }
 
@@ -329,6 +358,62 @@ impl TraceEvent {
     }
 }
 
+impl Persist for TraceEvent {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut tag = self.tag();
+        tag.persist(c)?;
+        if C::LOADING {
+            let kind = KINDS
+                .get(tag as usize)
+                .ok_or_else(|| malformed(format!("unknown trace event tag {tag}")))?;
+            *self = TraceEvent::from_kind_fields(kind, &|_| Some(0)).map_err(malformed)?;
+        }
+        match self {
+            TraceEvent::TaskDispatch { unit, ty, task } => (unit, ty, task).persist(c),
+            TraceEvent::TaskComplete {
+                unit,
+                ty,
+                busy_ps,
+                task,
+            } => (unit, ty, busy_ps, task).persist(c),
+            TraceEvent::Spawn {
+                unit,
+                ty,
+                parent,
+                child,
+            } => (unit, ty, parent, child).persist(c),
+            TraceEvent::StealRequest { thief, victim }
+            | TraceEvent::StealGrant { thief, victim }
+            | TraceEvent::StealFail { thief, victim } => (thief, victim).persist(c),
+            TraceEvent::PStoreAlloc { tile, occupancy }
+            | TraceEvent::PStoreDealloc { tile, occupancy } => (tile, occupancy).persist(c),
+            TraceEvent::PStoreJoin {
+                tile,
+                slot,
+                task,
+                from,
+            } => (tile, slot, task, from).persist(c),
+            TraceEvent::CacheHit { port, level }
+            | TraceEvent::CacheMiss { port, level }
+            | TraceEvent::CacheEvict { port, level } => (port, level).persist(c),
+            TraceEvent::DramSaturated {
+                epoch,
+                committed_ps,
+            } => (epoch, committed_ps).persist(c),
+            TraceEvent::FaultInjected { spec, unit }
+            | TraceEvent::FaultRecovered { spec, unit }
+            | TraceEvent::FaultUnrecovered { spec, unit } => (spec, unit).persist(c),
+            TraceEvent::WatchdogStall { unit, idle_ps } => (unit, idle_ps).persist(c),
+            TraceEvent::LinkXfer {
+                src_chip,
+                dst_chip,
+                class,
+                wait_ps,
+            } => (src_chip, dst_chip, class, wait_ps).persist(c),
+        }
+    }
+}
+
 /// One recorded event with its timestamp and sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -355,26 +440,24 @@ impl TraceRecord {
         out.push('}');
         out
     }
+}
 
-    /// Rebuilds a record from a parsed [`TraceRecord::to_json`] object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json_value(value: &json::JsonValue) -> Result<TraceRecord, String> {
-        let num = |key: &str| value.get(key).and_then(json::JsonValue::as_u64);
-        let at = num("t_ps").ok_or("trace record: missing t_ps")?;
-        let seq = num("seq").ok_or("trace record: missing seq")?;
-        let kind = value
-            .get("kind")
-            .and_then(json::JsonValue::as_str)
-            .ok_or("trace record: missing kind")?;
-        let event = TraceEvent::from_kind_fields(kind, &num)?;
-        Ok(TraceRecord {
-            at: Time::from_ps(at),
-            seq,
-            event,
-        })
+impl Default for TraceRecord {
+    fn default() -> Self {
+        TraceRecord {
+            at: Time::ZERO,
+            seq: 0,
+            event: TraceEvent::StealRequest {
+                thief: 0,
+                victim: 0,
+            },
+        }
+    }
+}
+
+impl Persist for TraceRecord {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        (&mut self.at, &mut self.seq, &mut self.event).persist(c)
     }
 }
 
@@ -484,69 +567,17 @@ impl Tracer {
         }
         out
     }
+}
 
-    /// Serializes the complete tracer state — capacity, drop count,
-    /// sequence cursor and every buffered record — for snapshot/restore.
-    pub fn state_to_json_value(&self) -> json::JsonValue {
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                let mut members = vec![
-                    ("t_ps".to_owned(), json::JsonValue::num_u64(r.at.as_ps())),
-                    ("seq".to_owned(), json::JsonValue::num_u64(r.seq)),
-                    (
-                        "kind".to_owned(),
-                        json::JsonValue::Str(r.event.kind().to_owned()),
-                    ),
-                ];
-                for (k, v) in r.event.fields() {
-                    members.push((k.to_owned(), json::JsonValue::num_u64(v)));
-                }
-                json::JsonValue::Object(members)
-            })
-            .collect();
-        json::JsonValue::Object(vec![
-            (
-                "capacity".to_owned(),
-                json::JsonValue::num_u64(self.capacity as u64),
-            ),
-            ("dropped".to_owned(), json::JsonValue::num_u64(self.dropped)),
-            (
-                "next_seq".to_owned(),
-                json::JsonValue::num_u64(self.next_seq),
-            ),
-            ("records".to_owned(), json::JsonValue::Array(records)),
-        ])
-    }
-
-    /// Rebuilds a tracer from [`Tracer::state_to_json_value`] output. The
-    /// round trip is exact, so a restored run keeps emitting with the same
-    /// capacity bound, drop count and sequence numbering as the original.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn state_from_json_value(value: &json::JsonValue) -> Result<Tracer, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(json::JsonValue::as_u64)
-                .ok_or_else(|| format!("tracer state: missing {key}"))
-        };
-        let records = value
-            .get("records")
-            .and_then(json::JsonValue::as_array)
-            .ok_or("tracer state: missing records array")?
-            .iter()
-            .map(TraceRecord::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Tracer {
-            capacity: num("capacity")? as usize,
-            records,
-            dropped: num("dropped")?,
-            next_seq: num("next_seq")?,
-        })
+/// The complete tracer state — capacity, drop count, sequence cursor and
+/// every buffered record — so a restored run keeps emitting with the same
+/// capacity bound, drop count and sequence numbering as the original.
+impl Persist for Tracer {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.capacity.persist(c)?;
+        self.records.persist(c)?;
+        self.dropped.persist(c)?;
+        self.next_seq.persist(c)
     }
 }
 
@@ -686,7 +717,9 @@ mod tests {
             t.emit(Time::from_ps(i as u64 * 10), *e);
         }
         t.emit(Time::from_ps(1), spawn(0));
-        let back = Tracer::state_from_json_value(&t.state_to_json_value()).unwrap();
+        let bytes = crate::persist::save(&mut t);
+        let mut back = Tracer::disabled();
+        crate::persist::load(&mut back, &bytes).unwrap();
         assert_eq!(back, t);
         // Continued emission behaves identically in both tracers.
         let mut a = t.clone();
@@ -699,20 +732,17 @@ mod tests {
     }
 
     #[test]
-    fn state_parse_errors_name_the_problem() {
-        use crate::json::JsonValue;
-        let v = JsonValue::parse("{\"capacity\":4,\"dropped\":0,\"next_seq\":0}").unwrap();
-        assert!(Tracer::state_from_json_value(&v)
-            .unwrap_err()
-            .contains("records"));
-        let v = JsonValue::parse(
-            "{\"capacity\":4,\"dropped\":0,\"next_seq\":0,\
-             \"records\":[{\"t_ps\":1,\"seq\":0,\"kind\":\"nope\"}]}",
-        )
-        .unwrap();
-        assert!(Tracer::state_from_json_value(&v)
-            .unwrap_err()
-            .contains("unknown kind"));
+    fn state_decode_errors_name_the_problem() {
+        let mut t = Tracer::bounded(4);
+        t.emit(Time::from_ps(1), spawn(0));
+        let mut bytes = crate::persist::save(&mut t);
+        let mut back = Tracer::disabled();
+        let cut = crate::persist::load(&mut back, &bytes[..bytes.len() - 1]);
+        assert!(cut.is_err(), "truncated");
+        // capacity, record count, t_ps, seq, then the event tag.
+        bytes[4] = 99;
+        let err = crate::persist::load(&mut back, &bytes).unwrap_err();
+        assert!(err.to_string().contains("unknown trace event tag"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! determinism gate in tests/checkpoint_restore.rs enforces it); what
 //! this example quantifies is the *price* of durability — engine state
 //! serialization, envelope checksumming, and session rebuild — as a
-//! function of the checkpoint epoch. Numbers land in EXPERIMENTS.md.
+//! function of the checkpoint epoch. Numbers land in EXPERIMENTS.md,
+//! stamped with the printed host/build id. `scripts/verify.sh` runs it as
+//! a check: every restored run must equal the uninterrupted one.
 //!
 //! ```sh
 //! cargo run --release --example checkpoint_overhead
@@ -23,6 +25,8 @@ fn main() {
         ("lite", DesignPoint::accel(PointArch::Lite, 1, 4)),
         ("cpu", DesignPoint::cpu(4)),
     ];
+    println!("host/build: {}", pxl_bench::host_build_id());
+    println!();
     println!(
         "| bench | engine | checkpoints | snapshot KB | plain ms | checkpointed ms | ms/checkpoint |"
     );

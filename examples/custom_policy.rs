@@ -13,15 +13,15 @@
 
 use parallelxl::arch::deque::TaskDeque;
 use parallelxl::{
-    AccelConfig, ArchKind, Continuation, EngineKind, ExecProfile, FabricEngine, FlexEngine,
-    SchedulingPolicy, Task, TaskContext, TaskTypeId, Time, Worker,
+    AccelConfig, ArchKind, Codec, Continuation, EngineKind, ExecProfile, FabricEngine, FlexEngine,
+    Persist, SchedulingPolicy, SnapshotError, Task, TaskContext, TaskTypeId, Time, Worker,
 };
 use std::collections::VecDeque;
 
 /// Ready-task storage and acquisition with ring-sweep victim selection:
 /// per-PE deques like FlexArch, but an idle PE's steal requests walk the
 /// ring `pe+1, pe+2, …, IF, …` instead of following an LFSR.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RingPolicy {
     deques: Vec<TaskDeque>,
     host_queue: VecDeque<Task>,
@@ -117,86 +117,16 @@ impl SchedulingPolicy for RingPolicy {
         let queued: usize = self.deques.iter().map(TaskDeque::len).sum();
         (queued + self.host_queue.len()) as u64
     }
+}
 
-    // Checkpoint/restore hooks. A demo policy keeps them minimal: the
-    // engine still snapshots everything it owns; this policy serializes its
-    // ring cursors and queue contents the same way FlexPolicy does.
-    fn state_to_json_value(&self) -> parallelxl::JsonValue {
-        use parallelxl::JsonValue;
-        JsonValue::Object(vec![
-            (
-                "deques".to_owned(),
-                JsonValue::Array(
-                    self.deques
-                        .iter()
-                        .map(TaskDeque::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "cursor".to_owned(),
-                JsonValue::Array(
-                    self.cursor
-                        .iter()
-                        .map(|c| JsonValue::num_u64(*c as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "host_queue".to_owned(),
-                JsonValue::Array(
-                    self.host_queue
-                        .iter()
-                        .map(|t| {
-                            JsonValue::Array(
-                                t.to_words()
-                                    .iter()
-                                    .map(|w| JsonValue::num_u64(*w))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn restore_state(&mut self, value: &parallelxl::JsonValue) -> Result<(), String> {
-        use parallelxl::JsonValue;
-        let deques = value
-            .get("deques")
-            .and_then(JsonValue::as_array)
-            .ok_or("ring state: missing deques")?;
-        if deques.len() != self.num_pes {
-            return Err("ring state: deque count mismatch".to_owned());
-        }
-        for (deque, state) in self.deques.iter_mut().zip(deques) {
-            deque.restore_state(state)?;
-        }
-        self.cursor = value
-            .get("cursor")
-            .and_then(JsonValue::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_u64())
-                    .map(|v| v as usize)
-                    .collect()
-            })
-            .ok_or("ring state: missing cursor")?;
-        self.host_queue = value
-            .get("host_queue")
-            .and_then(JsonValue::as_array)
-            .ok_or("ring state: missing host_queue")?
-            .iter()
-            .map(|entry| {
-                let words: Vec<u64> = entry
-                    .as_array()
-                    .map(|a| a.iter().filter_map(|v| v.as_u64()).collect())
-                    .ok_or("ring state: bad host task")?;
-                Task::from_words(&words)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(())
+// Checkpoint/restore: one walk serves both directions. The engine
+// snapshots everything it owns; this policy adds its queue contents and
+// ring cursors, checking the per-PE shapes against the restoring engine.
+impl Persist for RingPolicy {
+    fn persist<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.exact(&mut self.deques, "PE deques")?;
+        c.exact(&mut self.cursor, "PE cursors")?;
+        self.host_queue.persist(c)
     }
 }
 

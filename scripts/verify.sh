@@ -21,6 +21,12 @@ echo "==> fault smoke sweep (pxl-bench --bin faults -- --smoke)"
 # golden mismatch, or nondeterministic fault replay.
 cargo run --release --offline -p pxl-bench --bin faults -- --smoke > /dev/null
 
+echo "==> checkpoint overhead (--example checkpoint_overhead)"
+# Pauses, snapshots, round-trips the envelope and restores 16 times per
+# run on flex, lite and cpu; exits nonzero unless every restored run is
+# byte-identical to the uninterrupted one.
+cargo run --release --offline --example checkpoint_overhead > /dev/null
+
 echo "==> perf smoke (pxl-bench --bin perf -- --smoke)"
 # Host-throughput trajectory: simulated-cycles/sec and tasks/sec for every
 # engine (flex, lite, central, cpu); appends records to bench_results.jsonl.

@@ -150,15 +150,17 @@ pub use pxl_profile::Profile;
 /// Simulation-as-a-service working set: start a [`Server`], connect a
 /// [`Client`], submit [`RunSpec`]s as jobs, stream [`JobEvent`]s.
 pub use pxl_serve::{Client, JobEvent, JobId, JobKind, JobStatus, Server, ServerConfig};
-/// Deterministic JSON and versioned, checksummed snapshot envelopes for
-/// checkpoint/restore.
+/// Deterministic JSON for exports and the wire protocols.
 pub use pxl_sim::json::JsonValue;
+/// Versioned, checksummed snapshot envelopes for checkpoint/restore, and
+/// the symmetric [`Persist`] codec that engines (and custom scheduling
+/// policies) capture and restore their state through.
+pub use pxl_sim::{Codec, Persist, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 /// Deterministic fault injection: seeded plans armed via
 /// [`SimulationBuilder::with_faults`] or [`AccelConfig::fault_plan`].
 pub use pxl_sim::{FaultKind, FaultPlan, FaultSpec, NetClass};
 /// Typed metrics, bounded event tracing, and simulated time.
 pub use pxl_sim::{Histogram, MetricKind, Metrics, Time, TraceEvent, TraceRecord, Tracer};
-pub use pxl_sim::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 
 /// The ten Table II benchmarks, re-exported by name.
 ///

@@ -4,13 +4,15 @@
 //! restored run's results, metrics, trace and telemetry timeline are
 //! byte-identical to an uninterrupted run of the same spec. Driven by the
 //! vendored `pxl_sim::qcheck` harness over random benchmarks, scales,
-//! engines, fault plans, telemetry epochs and checkpoint epochs.
+//! engines, fault plans, telemetry epochs and checkpoint epochs. The
+//! envelope and the binary decoder must also turn any corruption into a
+//! typed error rather than a panic.
 
 use parallelxl::apps::Scale;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::{
     execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, SessionStatus, SimSession,
-    Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
+    SimulationBuilder, Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
 };
 
 /// A random design point: any of the engines at small shapes, including
@@ -155,11 +157,11 @@ fn foreign_snapshot_versions_are_rejected() {
 #[test]
 fn corrupted_snapshot_payloads_are_rejected() {
     // A hand-built envelope keeps the corruption surgical: the payload
-    // changes, the claimed checksum goes stale.
-    let snap = Snapshot::new("flex", parallelxl::JsonValue::parse("{\"pc\":41}").unwrap());
-    let good = snap.to_json();
+    // bytes change, the claimed checksum goes stale.
+    let good = Snapshot::new("flex", vec![41]).to_json();
     assert!(Snapshot::from_json(&good).is_ok());
-    let corrupted = good.replace("{\"pc\":41}", "{\"pc\":42}");
+    // base64([41]) = "KQ==", base64([42]) = "Kg==".
+    let corrupted = good.replace("\"payload\":\"KQ==\"", "\"payload\":\"Kg==\"");
     assert_ne!(good, corrupted, "corruption must have happened");
     match Snapshot::from_json(&corrupted) {
         Err(SnapshotError::ChecksumMismatch { claimed, actual }) => {
@@ -169,7 +171,97 @@ fn corrupted_snapshot_payloads_are_rejected() {
     }
     // Structurally broken envelopes are malformed, not a crash.
     assert!(matches!(
-        Snapshot::from_json("{\"snapshot_version\":1}"),
+        Snapshot::from_json(&format!("{{\"snapshot_version\":{SNAPSHOT_VERSION}}}")),
         Err(SnapshotError::Malformed(_))
     ));
+    // An envelope of the retired JSON-payload format is a typed version
+    // mismatch, which checkpoint consumers treat as "start over".
+    assert_eq!(
+        Snapshot::from_json("{\"snapshot_version\":1}"),
+        Err(SnapshotError::VersionMismatch { found: 1 })
+    );
+}
+
+/// Restores `snap` into a freshly built engine for `spec`, which must not
+/// panic whatever the bytes say.
+fn restore_fresh(spec: &RunSpec, snap: &Snapshot) -> Result<(), SnapshotError> {
+    let mut engine = SimulationBuilder::from_run_spec(spec)
+        .unwrap()
+        .build()
+        .unwrap();
+    engine.restore(snap)
+}
+
+#[test]
+fn hostile_snapshots_give_typed_errors_never_panics() {
+    for point in [
+        DesignPoint::accel(PointArch::Flex, 1, 2),
+        DesignPoint::accel(PointArch::Lite, 1, 2),
+        DesignPoint::accel(PointArch::Central, 1, 2),
+        DesignPoint::cpu(2),
+    ] {
+        let spec = RunSpec::new("uts", Scale::Tiny, point)
+            .with_trace(64)
+            .with_telemetry(500);
+        let mut session = SimSession::start(&spec).unwrap().unwrap();
+        let reference = execute(&spec).unwrap().unwrap();
+        let half = Time::from_ps(reference.kernel.as_ps() / 2);
+        assert!(
+            matches!(
+                session.advance(Some(half)),
+                Ok(SessionStatus::Paused { .. })
+            ),
+            "{spec:?} must pause mid-run"
+        );
+        let snap = session.snapshot();
+        let label = snap.engine.clone();
+        restore_fresh(&spec, &snap).unwrap();
+
+        // Every truncation of the payload bytes.
+        for cut in 0..snap.bytes.len() {
+            let short = Snapshot::new(label.clone(), snap.bytes[..cut].to_vec());
+            assert!(
+                restore_fresh(&spec, &short).is_err(),
+                "{label}: a payload cut at byte {cut} must not restore"
+            );
+        }
+        // One flipped bit at every byte offset, resealed (a fresh
+        // `Snapshot` checksums its bytes when sealed) so the decoder itself
+        // meets the damage. Ok or Err are both acceptable; a panic fails.
+        for at in 0..snap.bytes.len() {
+            let mut bytes = snap.bytes.clone();
+            bytes[at] ^= 1 << (at % 8);
+            let _ = restore_fresh(&spec, &Snapshot::new(label.clone(), bytes));
+        }
+        // A u64::MAX varint written over every offset. Wherever it lands
+        // on a length prefix, the prefix exceeds the bytes left and must be
+        // refused before anything is allocated; an attempted allocation
+        // would abort the test process rather than fail it.
+        const HUGE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        for at in 0..snap.bytes.len().saturating_sub(HUGE.len()) {
+            let mut bytes = snap.bytes.clone();
+            bytes[at..at + HUGE.len()].copy_from_slice(&HUGE);
+            let _ = restore_fresh(&spec, &Snapshot::new(label.clone(), bytes));
+        }
+
+        // Envelope text damage: truncation and one flipped bit per byte,
+        // at every offset of the header and at a stride through the base64
+        // payload (which the checksum covers byte for byte).
+        let text = snap.to_json();
+        let header = text.find("\"payload\"").unwrap() + 11;
+        let offsets = (0..header).chain((header..text.len()).step_by(61));
+        for at in offsets {
+            assert!(Snapshot::from_json(&text[..at]).is_err());
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] ^= 1 << (at % 7);
+            let Ok(damaged) = String::from_utf8(bytes) else {
+                continue;
+            };
+            if let Ok(snap) = Snapshot::from_json(&damaged) {
+                // Only damage outside the checksummed bytes survives (the
+                // engine label); restoring it is still safe.
+                let _ = restore_fresh(&spec, &snap);
+            }
+        }
+    }
 }

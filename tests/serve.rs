@@ -9,6 +9,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use parallelxl::benchmarks::Scale;
+use parallelxl::serve::protocol::MAX_REQUEST_LINE_BYTES;
 use parallelxl::serve::{
     measurement_to_json_value, Client, ErrorCode, JobEvent, JobId, JobKind, Request, Server,
     ServerConfig,
@@ -252,6 +253,44 @@ fn malformed_requests_are_rejected_with_typed_codes() {
             ..
         }
     ));
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.drain().unwrap();
+    server.join();
+}
+
+/// A request line past the server's cap is answered with a typed
+/// `bad_request` naming the cap and the connection is closed, while
+/// another client of the same server is served as usual.
+#[test]
+fn over_long_request_lines_are_refused_without_collateral_damage() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let line = vec![b'x'; MAX_REQUEST_LINE_BYTES + 1];
+    // The server may close before the whole line is read; what matters is
+    // the reply it sends first.
+    let _ = writer.write_all(&line).and_then(|()| writer.flush());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match JobEvent::from_json(reply.trim_end()).unwrap() {
+        JobEvent::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(
+                message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+                "the refusal must name the cap: {message:?}"
+            );
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection must be closed after the refusal"
+    );
+    let mut other = Client::connect(server.addr()).unwrap();
+    assert_eq!(other.status().unwrap().queued, 0);
     let mut client = Client::connect(server.addr()).unwrap();
     client.drain().unwrap();
     server.join();
